@@ -380,7 +380,9 @@ func (db *DB) getStmtLocked(norm string) (*cachedStmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		plan = rewriter.SimplifyPlan(plan)
+		if plan, err = rewriter.PruneColumns(rewriter.SimplifyPlan(plan)); err != nil {
+			return nil, err
+		}
 		if db.Parallelism > 1 {
 			plan = rewriter.Parallelize(plan, db.cat, db.Parallelism)
 		}
@@ -587,8 +589,9 @@ func (db *DB) rowsCachedLocked(ctx context.Context, cs *cachedStmt, vals []vtype
 }
 
 // Explain returns the optimized plan tree of a SELECT: the planner
-// output after simplification and — when Parallelism > 1 — the
-// Xchange parallelization rewrite, rendered one operator per line.
+// output after simplification and column pruning and — when
+// Parallelism > 1 — the Xchange parallelization rewrite, rendered one
+// operator per line.
 // Unbound placeholders render as `$N`. Like Query it runs under the
 // shared read lock and shares the plan cache.
 func (db *DB) Explain(sqlText string) (string, error) {

@@ -1,8 +1,13 @@
 package vectorwise
 
 import (
+	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"vectorwise/internal/storage"
+	"vectorwise/internal/vtypes"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -250,5 +255,89 @@ func mustExec(t *testing.T, db *DB, q string) {
 	t.Helper()
 	if _, err := db.Exec(q); err != nil {
 		t.Fatalf("%s: %v", q, err)
+	}
+}
+
+// TestAggregatesOverNoRowsAreNull: over zero qualifying rows an
+// ungrouped SUM/MIN/MAX/AVG is NULL and COUNT is 0, serially and when
+// the parallel rewrite splits the scan into empty partitions — whether
+// min/max skipping prunes every group or a residual filter rejects
+// every row.
+func TestAggregatesOverNoRowsAreNull(t *testing.T) {
+	b := storage.NewBuilder("t", vtypes.NewSchema(vtypes.Column{Name: "k", Kind: vtypes.KindI64}), 4)
+	for i := 0; i < 40; i++ {
+		if err := b.AppendRow(vtypes.Row{vtypes.I64Value(int64(i%10 + 1))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := OpenMemory()
+	defer db.Close()
+	db.RegisterTable(tbl)
+	for _, par := range []int{1, 2} {
+		db.SetParallelism(par)
+		for _, where := range []string{"k > 10", "k * 2 > 20"} {
+			q := `SELECT SUM(k), MIN(k), MAX(k), AVG(k), COUNT(*), COUNT(k) FROM t WHERE ` + where
+			if plan, err := db.Explain(q); err != nil {
+				t.Fatal(err)
+			} else if par > 1 && !strings.Contains(plan, "XchgUnion") {
+				t.Fatalf("par=%d: %s did not parallelize:\n%s", par, q, plan)
+			}
+			res, err := db.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) != 1 {
+				t.Fatalf("par=%d %s: %d rows, want 1", par, where, len(res.Rows))
+			}
+			r := res.Rows[0]
+			for i := 0; i < 4; i++ {
+				if !r[i].Null {
+					t.Errorf("par=%d %s: column %d = %v, want NULL", par, where, i, r[i])
+				}
+			}
+			for i := 4; i < 6; i++ {
+				if r[i].Null || r[i].I64 != 0 {
+					t.Errorf("par=%d %s: column %d = %v, want 0", par, where, i, r[i])
+				}
+			}
+		}
+		res, err := db.Query(`SELECT k, SUM(k) FROM t WHERE k > 10 GROUP BY k`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 0 {
+			t.Fatalf("par=%d: grouped aggregate over no rows returned %v", par, res.Rows)
+		}
+	}
+}
+
+// TestAggregatesSkipNulls: aggregates with an argument ignore NULL
+// inputs — also AVG under the parallel rewrite, which decomposes it into
+// SUM and COUNT of the argument — and a group whose inputs are all NULL
+// sums to NULL. Arithmetic over a NULL operand is NULL.
+func TestAggregatesSkipNulls(t *testing.T) {
+	db := OpenMemory()
+	defer db.Close()
+	mustExec(t, db, `CREATE TABLE p (k BIGINT, v BIGINT NULL)`)
+	mustExec(t, db, `INSERT INTO p VALUES (1, 10), (2, NULL), (3, 20), (4, NULL), (5, 50)`)
+	for _, par := range []int{1, 2} {
+		db.SetParallelism(par)
+		for q, want := range map[string]string{
+			`SELECT COUNT(v), MIN(v), MAX(v), SUM(v), AVG(v), COUNT(*) FROM p`:   "[[3 10 50 80 26.666666666666668 5]]",
+			`SELECT k, SUM(v), AVG(v) FROM p WHERE k <= 2 GROUP BY k ORDER BY k`: "[[1 10 10] [2 NULL NULL]]",
+			`SELECT k + v FROM p ORDER BY k`:                                     "[[11] [NULL] [23] [NULL] [55]]",
+		} {
+			res, err := db.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprint(res.Rows); got != want {
+				t.Errorf("par=%d %s = %s, want %s", par, q, got, want)
+			}
+		}
 	}
 }

@@ -130,12 +130,6 @@ type AggNode struct {
 	GroupBy []Scalar
 	Aggs    []AggExpr
 	Names   []string // group names then agg names
-	// Partial marks a per-partition aggregate under a parallel
-	// recombination: with no GroupBy and zero input rows it emits
-	// nothing, instead of the SQL-mandated global row (COUNT()=0,
-	// MIN()=NULL, ...) — otherwise an empty partition would feed a
-	// zero row into the final MIN/MAX. Set by the parallel rewriter.
-	Partial bool
 }
 
 // Schema implements Node.

@@ -73,7 +73,7 @@ func bindNode(n Node, args []vtypes.Value) (Node, error) {
 				aggs[i].Arg = arg
 			}
 		}
-		return &AggNode{Input: in, GroupBy: groups, Aggs: aggs, Names: t.Names, Partial: t.Partial}, nil
+		return &AggNode{Input: in, GroupBy: groups, Aggs: aggs, Names: t.Names}, nil
 	case *JoinNode:
 		left, err := bindNode(t.Left, args)
 		if err != nil {
@@ -140,108 +140,115 @@ func bindScalars(ss []Scalar, args []vtypes.Value) ([]Scalar, error) {
 }
 
 func bindScalar(s Scalar, args []vtypes.Value) (Scalar, error) {
-	switch t := s.(type) {
-	case *Param:
-		if t.Idx < 1 || t.Idx > len(args) {
-			return nil, fmt.Errorf("algebra: parameter $%d not bound (%d args)", t.Idx, len(args))
+	return RewriteScalar(s, func(leaf Scalar) (Scalar, error) {
+		p, ok := leaf.(*Param)
+		if !ok {
+			return leaf, nil
 		}
-		v, err := CoerceValue(args[t.Idx-1], t.K)
+		if p.Idx < 1 || p.Idx > len(args) {
+			return nil, fmt.Errorf("algebra: parameter $%d not bound (%d args)", p.Idx, len(args))
+		}
+		v, err := CoerceValue(args[p.Idx-1], p.K)
 		if err != nil {
-			return nil, fmt.Errorf("algebra: parameter $%d: %w", t.Idx, err)
+			return nil, fmt.Errorf("algebra: parameter $%d: %w", p.Idx, err)
 		}
 		return &Lit{Val: v}, nil
-	case *ColRef, *Lit:
-		return s, nil
+	})
+}
+
+// RewriteScalar rebuilds s bottom-up, passing every leaf (ColRef, Lit,
+// Param) through leaf. Interior nodes are always fresh copies, so the
+// input is never mutated and may be shared by a cached plan template.
+func RewriteScalar(s Scalar, leaf func(Scalar) (Scalar, error)) (Scalar, error) {
+	rec := func(x Scalar) (Scalar, error) { return RewriteScalar(x, leaf) }
+	recAll := func(xs []Scalar) ([]Scalar, error) {
+		out := make([]Scalar, len(xs))
+		for i, x := range xs {
+			e, err := rec(x)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = e
+		}
+		return out, nil
+	}
+	switch t := s.(type) {
+	case *ColRef, *Lit, *Param:
+		return leaf(s)
 	case *Arith:
-		l, err := bindScalar(t.L, args)
+		lr, err := recAll([]Scalar{t.L, t.R})
 		if err != nil {
 			return nil, err
 		}
-		r, err := bindScalar(t.R, args)
-		if err != nil {
-			return nil, err
-		}
-		return &Arith{Op: t.Op, L: l, R: r, K: t.K}, nil
+		return &Arith{Op: t.Op, L: lr[0], R: lr[1], K: t.K}, nil
 	case *Cmp:
-		l, err := bindScalar(t.L, args)
+		lr, err := recAll([]Scalar{t.L, t.R})
 		if err != nil {
 			return nil, err
 		}
-		r, err := bindScalar(t.R, args)
-		if err != nil {
-			return nil, err
-		}
-		return &Cmp{Op: t.Op, L: l, R: r}, nil
+		return &Cmp{Op: t.Op, L: lr[0], R: lr[1]}, nil
 	case *Between:
-		in, err := bindScalar(t.In, args)
+		in, err := rec(t.In)
 		if err != nil {
 			return nil, err
 		}
 		return &Between{In: in, Lo: t.Lo, Hi: t.Hi}, nil
 	case *Like:
-		in, err := bindScalar(t.In, args)
+		in, err := rec(t.In)
 		if err != nil {
 			return nil, err
 		}
 		return &Like{In: in, Pattern: t.Pattern, Negate: t.Negate}, nil
 	case *In:
-		in, err := bindScalar(t.In, args)
+		in, err := rec(t.In)
 		if err != nil {
 			return nil, err
 		}
 		return &In{In: in, List: t.List}, nil
 	case *And:
-		preds, err := bindScalars(t.Preds, args)
+		preds, err := recAll(t.Preds)
 		if err != nil {
 			return nil, err
 		}
 		return &And{Preds: preds}, nil
 	case *Or:
-		preds, err := bindScalars(t.Preds, args)
+		preds, err := recAll(t.Preds)
 		if err != nil {
 			return nil, err
 		}
 		return &Or{Preds: preds}, nil
 	case *Not:
-		in, err := bindScalar(t.In, args)
+		in, err := rec(t.In)
 		if err != nil {
 			return nil, err
 		}
 		return &Not{In: in}, nil
 	case *Case:
-		cond, err := bindScalar(t.Cond, args)
+		arms, err := recAll([]Scalar{t.Cond, t.Then, t.Else})
 		if err != nil {
 			return nil, err
 		}
-		then, err := bindScalar(t.Then, args)
-		if err != nil {
-			return nil, err
-		}
-		el, err := bindScalar(t.Else, args)
-		if err != nil {
-			return nil, err
-		}
-		return &Case{Cond: cond, Then: then, Else: el, K: t.K}, nil
+		return &Case{Cond: arms[0], Then: arms[1], Else: arms[2], K: t.K}, nil
 	case *YearOf:
-		in, err := bindScalar(t.In, args)
+		in, err := rec(t.In)
 		if err != nil {
 			return nil, err
 		}
 		return &YearOf{In: in}, nil
 	case *IsNull:
-		in, err := bindScalar(t.In, args)
+		in, err := rec(t.In)
 		if err != nil {
 			return nil, err
 		}
 		return &IsNull{In: in, Negate: t.Negate}, nil
 	case *Cast:
-		in, err := bindScalar(t.In, args)
+		in, err := rec(t.In)
 		if err != nil {
 			return nil, err
 		}
 		return &Cast{In: in, To: t.To}, nil
 	default:
-		return nil, fmt.Errorf("algebra: cannot bind parameters in scalar %T", s)
+		return nil, fmt.Errorf("algebra: cannot rewrite scalar %T", s)
 	}
 }
 

@@ -116,7 +116,7 @@ func PushFiltersIntoScans(n Node) Node {
 		if in == t.Input {
 			return t
 		}
-		return &AggNode{Input: in, GroupBy: t.GroupBy, Aggs: t.Aggs, Names: t.Names, Partial: t.Partial}
+		return &AggNode{Input: in, GroupBy: t.GroupBy, Aggs: t.Aggs, Names: t.Names}
 	case *JoinNode:
 		l, r := PushFiltersIntoScans(t.Left), PushFiltersIntoScans(t.Right)
 		if l == t.Left && r == t.Right {

@@ -287,6 +287,38 @@ func TestClusterAggregateQuery(t *testing.T) {
 	}
 }
 
+// TestClusterGlobalAggregateWithEmptyShard: a shard with no matching
+// rows returns the mandatory global row with MIN/MAX/SUM NULL, and the
+// coordinator's merge must skip it rather than fold a zero into the
+// answer. With no match anywhere the merged aggregates are NULL and
+// COUNT is 0.
+func TestClusterGlobalAggregateWithEmptyShard(t *testing.T) {
+	tc := newTestCluster(t, 3, 1, []string{"orders:o_id"})
+	seedOrders(t, tc, 100)
+	where := `WHERE o_id >= 40 AND o_id <= 41`
+	empty, full := 0, 0
+	for _, shard := range tc.nodes {
+		n := nodeRows(t, shard[0], `SELECT COUNT(*) FROM orders `+where)
+		if asFloat(n[0][0]) == 0 {
+			empty++
+		} else {
+			full++
+		}
+	}
+	if empty == 0 || full == 0 {
+		t.Fatalf("fixture must leave some shard without matches: %d empty, %d with rows", empty, full)
+	}
+	_, got := tc.query(t, `SELECT MIN(o_total), MAX(o_id), SUM(o_id), AVG(o_total), COUNT(*) FROM orders `+where)
+	want := [][]any{{40.5, int64(41), int64(81), 41.0, int64(2)}}
+	if !rowsEqual(got, want) {
+		t.Fatalf("merged aggregate = %v, want %v", got, want)
+	}
+	_, none := tc.query(t, `SELECT MIN(o_total), MAX(o_id), SUM(o_id), AVG(o_total), COUNT(*) FROM orders WHERE o_id > 1000`)
+	if want := [][]any{{nil, nil, nil, nil, int64(0)}}; !rowsEqual(none, want) {
+		t.Fatalf("aggregate over no rows = %v, want %v", none, want)
+	}
+}
+
 func TestClusterColocatedJoinAggregate(t *testing.T) {
 	tc := newTestCluster(t, 3, 1, []string{"fact:f_k", "dim2:d_k"})
 	tc.exec(t, `CREATE TABLE fact (f_k BIGINT, f_v DOUBLE)`)

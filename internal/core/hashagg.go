@@ -93,13 +93,18 @@ func (k *keyCol) get(g int) vtypes.Value {
 }
 
 // aggState holds one aggregate's accumulators across all groups.
+// Aggregates with an argument skip NULL inputs; a SUM, AVG, MIN or MAX
+// whose group saw no non-NULL input is NULL (COUNT is 0).
 type aggState struct {
 	spec AggSpec
 	i64  []int64
 	f64  []float64
 	str  []string
 	cnt  []int64 // Avg's count side
-	seen []bool  // Min/Max initialization
+	// seen marks groups with a non-NULL input: Min/Max always; Sum
+	// only once its argument has shown a NULL (before that, every
+	// group that exists has had one).
+	seen []bool
 }
 
 func (a *aggState) grow() {
@@ -110,6 +115,9 @@ func (a *aggState) grow() {
 		a.f64 = append(a.f64, 0)
 		a.cnt = append(a.cnt, 0)
 	case AggSum:
+		if a.seen != nil {
+			a.seen = append(a.seen, false)
+		}
 		if a.spec.Arg.Kind().StorageClass() == vtypes.ClassF64 {
 			a.f64 = append(a.f64, 0)
 		} else {
@@ -147,24 +155,16 @@ type HashAggregate struct {
 	hashes  []uint64
 	groups  []uint32
 	keyVecs []*vector.Vector // per-batch key columns, hoisted (reused)
+	argSel  []int32          // live non-NULL rows of a nullable argument
 	eqFn    hashtable.EqFn
 	allocFn hashtable.NewFn
 	sink    *HashStatsSink
 	probeNs int64 // cumulative FindOrInsert time (agg_probe_ns)
 	built   bool
+	fed     bool // the child has produced a row
 	outPos  int
 	ctx     context.Context
-	// partial marks a per-partition aggregate under a parallel
-	// recombination: ungrouped over zero rows it emits nothing instead
-	// of the implicit global row (which would feed zeros into the
-	// final MIN/MAX).
-	partial bool
-	inRows  int64
 }
-
-// SetPartial marks this aggregate as a parallel partial (see the
-// partial field).
-func (h *HashAggregate) SetPartial(p bool) { h.partial = p }
 
 // NewHashAggregate builds the operator; names labels group columns then
 // aggregate columns.
@@ -214,14 +214,16 @@ func (h *HashAggregate) Open() error {
 	h.probeNs = 0
 	h.built = false
 	h.outPos = 0
-	h.inRows = 0
+	h.fed = false
 	return nil
 }
 
 // consume drains the child, building groups and accumulators.
 func (h *HashAggregate) consume() error {
 	if len(h.groupBy) == 0 {
-		// Single implicit group.
+		// Single implicit group: ungrouped aggregation yields one row
+		// even over empty input (COUNT 0, the others NULL). Parallel
+		// partials do too; the final aggregate skips their NULLs.
 		h.numGroups = 1
 		for _, st := range h.states {
 			st.grow()
@@ -239,22 +241,20 @@ func (h *HashAggregate) consume() error {
 			return err
 		}
 		if b == nil {
-			if h.partial && len(h.groupBy) == 0 && h.inRows == 0 {
-				h.numGroups = 0 // empty partial: no implicit group
-			}
 			return nil
 		}
 		if b.N == 0 {
 			continue
 		}
-		h.inRows += int64(b.N)
 		if err := h.consumeBatch(b); err != nil {
 			return err
 		}
+		h.fed = true
 	}
 }
 
 func (h *HashAggregate) consumeBatch(b *vector.Batch) error {
+	oldGroups := h.numGroups
 	capn := b.Capacity()
 	if cap(h.hashes) < capn {
 		h.hashes = make([]uint64, capn)
@@ -301,59 +301,103 @@ func (h *HashAggregate) consumeBatch(b *vector.Batch) error {
 	// Fire the aggregate kernels.
 	for _, st := range h.states {
 		var arg *vector.Vector
+		sel, n := b.Sel, b.N
 		if st.spec.Arg != nil {
 			v, err := st.spec.Arg.Eval(b)
 			if err != nil {
 				return err
 			}
 			arg = v
+			if arg.Nulls != nil {
+				sel, n = h.nonNullRows(arg, b)
+			}
 		}
 		switch st.spec.Fn {
 		case AggCount, AggCountStar:
-			primitives.AggCount(st.i64, groups, b.Sel, b.N)
+			primitives.AggCount(st.i64, groups, sel, n)
 		case AggSum:
 			if arg.Kind.StorageClass() == vtypes.ClassF64 {
-				primitives.AggSum(st.f64, groups, arg.F64, b.Sel, b.N)
+				primitives.AggSum(st.f64, groups, arg.F64, sel, n)
 			} else {
-				primitives.AggSum(st.i64, groups, arg.I64, b.Sel, b.N)
+				primitives.AggSum(st.i64, groups, arg.I64, sel, n)
+			}
+			if arg.Nulls != nil && st.seen == nil {
+				// First NULL: groups from earlier batches had only
+				// non-NULL inputs, so they have seen one — the implicit
+				// group of an ungrouped aggregate only if rows came.
+				st.seen = make([]bool, h.numGroups)
+				for g := 0; g < oldGroups; g++ {
+					st.seen[g] = len(h.groupBy) > 0 || h.fed
+				}
+			}
+			if st.seen != nil {
+				markSeen(st.seen, groups, sel, n)
 			}
 		case AggAvg:
 			if arg.Kind.StorageClass() == vtypes.ClassF64 {
-				primitives.AggSum(st.f64, groups, arg.F64, b.Sel, b.N)
+				primitives.AggSum(st.f64, groups, arg.F64, sel, n)
 			} else {
 				// Widen integers through a cast-free running float sum.
-				if b.Sel == nil {
-					for i := 0; i < b.N; i++ {
+				if sel == nil {
+					for i := 0; i < n; i++ {
 						st.f64[groups[i]] += float64(arg.I64[i])
 					}
 				} else {
-					for _, i := range b.Sel[:b.N] {
+					for _, i := range sel[:n] {
 						st.f64[groups[i]] += float64(arg.I64[i])
 					}
 				}
 			}
-			primitives.AggCount(st.cnt, groups, b.Sel, b.N)
+			primitives.AggCount(st.cnt, groups, sel, n)
 		case AggMin:
 			switch arg.Kind.StorageClass() {
 			case vtypes.ClassF64:
-				primitives.AggMin(st.f64, st.seen, groups, arg.F64, b.Sel, b.N)
+				primitives.AggMin(st.f64, st.seen, groups, arg.F64, sel, n)
 			case vtypes.ClassStr:
-				primitives.AggMin(st.str, st.seen, groups, arg.Str, b.Sel, b.N)
+				primitives.AggMin(st.str, st.seen, groups, arg.Str, sel, n)
 			default:
-				primitives.AggMin(st.i64, st.seen, groups, arg.I64, b.Sel, b.N)
+				primitives.AggMin(st.i64, st.seen, groups, arg.I64, sel, n)
 			}
 		case AggMax:
 			switch arg.Kind.StorageClass() {
 			case vtypes.ClassF64:
-				primitives.AggMax(st.f64, st.seen, groups, arg.F64, b.Sel, b.N)
+				primitives.AggMax(st.f64, st.seen, groups, arg.F64, sel, n)
 			case vtypes.ClassStr:
-				primitives.AggMax(st.str, st.seen, groups, arg.Str, b.Sel, b.N)
+				primitives.AggMax(st.str, st.seen, groups, arg.Str, sel, n)
 			default:
-				primitives.AggMax(st.i64, st.seen, groups, arg.I64, b.Sel, b.N)
+				primitives.AggMax(st.i64, st.seen, groups, arg.I64, sel, n)
 			}
 		}
 	}
 	return nil
+}
+
+// markSeen flags the groups of the selected rows.
+func markSeen(seen []bool, groups []uint32, sel []int32, n int) {
+	if sel == nil {
+		for i := 0; i < n; i++ {
+			seen[groups[i]] = true
+		}
+		return
+	}
+	for _, i := range sel[:n] {
+		seen[groups[i]] = true
+	}
+}
+
+// nonNullRows narrows the batch's live rows to those where v is not
+// NULL, as a selection vector over the batch's positions.
+func (h *HashAggregate) nonNullRows(v *vector.Vector, b *vector.Batch) ([]int32, int) {
+	if cap(h.argSel) < b.N {
+		h.argSel = make([]int32, b.Capacity())
+	}
+	sel := h.argSel[:0]
+	for i := 0; i < b.N; i++ {
+		if ix := b.LiveIndex(i); !v.Nulls[ix] {
+			sel = append(sel, int32(ix))
+		}
+	}
+	return sel, len(sel)
 }
 
 // eqBatch is the table's key-verification callback: column-major
@@ -451,15 +495,21 @@ func (h *HashAggregate) aggValue(st *aggState, g int) vtypes.Value {
 		return vtypes.I64Value(st.i64[g])
 	case AggAvg:
 		if st.cnt[g] == 0 {
-			return vtypes.F64Value(0)
+			return vtypes.NullValue(vtypes.KindF64)
 		}
 		return vtypes.F64Value(st.f64[g] / float64(st.cnt[g]))
 	case AggSum:
+		if st.seen != nil && !st.seen[g] || len(h.groupBy) == 0 && !h.fed {
+			return vtypes.NullValue(st.spec.Arg.Kind())
+		}
 		if st.spec.Arg.Kind().StorageClass() == vtypes.ClassF64 {
 			return vtypes.F64Value(st.f64[g])
 		}
 		return vtypes.I64Value(st.i64[g])
 	case AggMin, AggMax:
+		if !st.seen[g] {
+			return vtypes.NullValue(st.spec.Arg.Kind())
+		}
 		switch st.spec.Arg.Kind().StorageClass() {
 		case vtypes.ClassF64:
 			return vtypes.F64Value(st.f64[g])

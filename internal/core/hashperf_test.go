@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"vectorwise/internal/vector"
@@ -175,6 +176,45 @@ func BenchmarkHashAggProbe(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := agg.consumeBatch(batch); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestHashAggregateSumNullsAfterValues: a SUM argument whose NULL mask
+// first appears after earlier mask-free batches keeps the values those
+// batches contributed, in grouped and ungrouped aggregation.
+func TestHashAggregateSumNullsAfterValues(t *testing.T) {
+	schema := vtypes.NewSchema(vtypes.Column{Name: "g", Kind: vtypes.KindI64},
+		vtypes.Column{Name: "v", Kind: vtypes.KindI64, Nullable: true})
+	batch := func(g, v []int64, nulls []bool) *vector.Batch {
+		b := vector.NewBatch(schema, len(g))
+		copy(b.Vecs[0].I64, g)
+		copy(b.Vecs[1].I64, v)
+		b.Vecs[1].Nulls = nulls
+		b.SetDense(len(g))
+		return b
+	}
+	for _, grouped := range []bool{true, false} {
+		src := &batchSource{schema: schema, batches: []*vector.Batch{
+			batch([]int64{1, 2}, []int64{5, 7}, nil),
+			batch([]int64{1, 2, 3}, []int64{0, 0, 0}, []bool{true, true, true}),
+		}}
+		var groupBy []Expr
+		names := []string{"s"}
+		if grouped {
+			groupBy, names = []Expr{col(0, vtypes.KindI64)}, []string{"g", "s"}
+		}
+		agg := NewHashAggregate(src, groupBy, []AggSpec{{Fn: AggSum, Arg: col(1, vtypes.KindI64)}}, names)
+		rows, err := Collect(agg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := "[[12]]"
+		if grouped {
+			want = "[[1 5] [2 7] [3 NULL]]"
+		}
+		if got := fmt.Sprint(rows); got != want {
+			t.Errorf("grouped=%v: got %s, want %s", grouped, got, want)
 		}
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"vectorwise/internal/core"
 	"vectorwise/internal/matengine"
 	"vectorwise/internal/pdt"
+	"vectorwise/internal/rewriter"
 	"vectorwise/internal/storage"
 	"vectorwise/internal/tupleengine"
 	"vectorwise/internal/vtypes"
@@ -192,6 +193,122 @@ func TestDifferentialAggregation(t *testing.T) {
 	}
 	vec, tup, mat := runAll(t, cat, plan)
 	expectEqual(t, "aggregate", vec, tup, mat)
+}
+
+// TestDifferentialAggregatesOverEmptyInput pins SQL's empty-input rule
+// in all three engines, serially and under the parallel rewrite (whose
+// per-partition partials are all empty here): an ungrouped aggregate
+// yields one row with COUNT 0 and SUM/MIN/MAX/AVG NULL; a grouped one
+// yields no rows.
+func TestDifferentialAggregatesOverEmptyInput(t *testing.T) {
+	cat := fixture(t, 3000)
+	empty := func() algebra.Node {
+		return &algebra.SelectNode{Input: scanItems(1, 2, 3),
+			Pred: &algebra.Cmp{Op: algebra.CmpLt, L: colRef(1, vtypes.KindF64), R: lit(vtypes.F64Value(-1))}}
+	}
+	aggs := []algebra.AggExpr{
+		{Fn: algebra.AggSum, Arg: colRef(1, vtypes.KindF64)},
+		{Fn: algebra.AggSum, Arg: colRef(2, vtypes.KindI64)},
+		{Fn: algebra.AggCountStar},
+		{Fn: algebra.AggCount, Arg: colRef(2, vtypes.KindI64)},
+		{Fn: algebra.AggMin, Arg: colRef(2, vtypes.KindI64)},
+		{Fn: algebra.AggMax, Arg: colRef(1, vtypes.KindF64)},
+		{Fn: algebra.AggAvg, Arg: colRef(2, vtypes.KindI64)},
+	}
+	names := []string{"sp", "sq", "n", "nq", "minq", "maxp", "avgq"}
+	for _, par := range []int{1, 4} {
+		global := algebra.Node(&algebra.AggNode{Input: empty(), Aggs: aggs, Names: names})
+		grouped := algebra.Node(&algebra.AggNode{Input: empty(), GroupBy: []algebra.Scalar{colRef(0, vtypes.KindI64)},
+			Aggs: aggs, Names: append([]string{"grp"}, names...)})
+		if par > 1 {
+			global = rewriter.Parallelize(global, cat, par)
+			grouped = rewriter.Parallelize(grouped, cat, par)
+			if _, ok := global.(*algebra.ProjectNode); !ok {
+				t.Fatalf("par=%d: the global aggregate was not parallelized:\n%s", par, algebra.Explain(global))
+			}
+		}
+		vec, tup, mat := runAll(t, cat, global)
+		expectEqual(t, fmt.Sprintf("empty-global/par=%d", par), vec, tup, mat)
+		if want := "NULL|NULL|0|0|NULL|NULL|NULL"; len(vec) != 1 || vec[0] != want {
+			t.Fatalf("par=%d: empty global aggregate = %v, want [%s]", par, vec, want)
+		}
+		vec, tup, mat = runAll(t, cat, grouped)
+		expectEqual(t, fmt.Sprintf("empty-grouped/par=%d", par), vec, tup, mat)
+		if len(vec) != 0 {
+			t.Fatalf("par=%d: empty grouped aggregate = %v, want no rows", par, vec)
+		}
+	}
+
+	// Only the first row group matches: the other partitions' NULL
+	// partials must not reach the final MIN/MAX/SUM.
+	firstGroup := &algebra.SelectNode{Input: scanItems(1, 2, 3, 0),
+		Pred: &algebra.Cmp{Op: algebra.CmpLt, L: colRef(3, vtypes.KindI64), R: lit(vtypes.I64Value(150))}}
+	partly := &algebra.AggNode{Input: firstGroup, Aggs: aggs, Names: names}
+	serial, _, _ := runAll(t, cat, partly)
+	vec, tup, mat := runAll(t, cat, rewriter.Parallelize(partly, cat, 4))
+	expectEqual(t, "partly-empty/par=4", vec, tup, mat)
+	if len(serial) != 1 || vec[0] != serial[0] || strings.Contains(vec[0], "NULL") {
+		t.Fatalf("partly empty partitions: parallel %v, serial %v", vec, serial)
+	}
+}
+
+// TestDifferentialAggregatesSkipNulls: NULL arguments are skipped and an
+// all-NULL group aggregates to NULL, identically in all three engines.
+// The first row groups hold no NULLs, so the vectorized engine meets its
+// first NULL only after groups exist — and in the same batch as groups
+// (g >= 8) whose every input is NULL, while group 7 only ever sees
+// NULLs after its values.
+func TestDifferentialAggregatesSkipNulls(t *testing.T) {
+	cat := catalog.New()
+	b := storage.NewBuilder("nv", vtypes.NewSchema(
+		vtypes.Column{Name: "g", Kind: vtypes.KindI64},
+		vtypes.Column{Name: "v", Kind: vtypes.KindI64, Nullable: true},
+		vtypes.Column{Name: "f", Kind: vtypes.KindF64, Nullable: true},
+	), 100)
+	for i := 0; i < 1000; i++ {
+		g := int64(i % 8)
+		v, f := vtypes.I64Value(int64(i)), vtypes.F64Value(float64(i)/4)
+		if i >= 300 {
+			g = int64(i % 12)
+			if g >= 7 || i%3 == 0 { // g = 7 saw values only before its NULLs
+				v, f = vtypes.NullValue(vtypes.KindI64), vtypes.NullValue(vtypes.KindF64)
+			}
+		}
+		if err := b.AppendRow(vtypes.Row{vtypes.I64Value(g), v, f}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat.Put(tbl)
+	scan := &algebra.ScanNode{Table: "nv", Cols: []int{0, 1, 2}, Out: tbl.Schema()}
+	aggs := []algebra.AggExpr{
+		{Fn: algebra.AggSum, Arg: colRef(1, vtypes.KindI64)},
+		{Fn: algebra.AggSum, Arg: colRef(2, vtypes.KindF64)},
+		{Fn: algebra.AggCount, Arg: colRef(1, vtypes.KindI64)},
+		{Fn: algebra.AggCountStar},
+		{Fn: algebra.AggMin, Arg: colRef(1, vtypes.KindI64)},
+		{Fn: algebra.AggMax, Arg: colRef(2, vtypes.KindF64)},
+		{Fn: algebra.AggAvg, Arg: colRef(1, vtypes.KindI64)},
+	}
+	names := []string{"s", "sf", "c", "n", "lo", "hi", "a"}
+	for _, plan := range []algebra.Node{
+		&algebra.AggNode{Input: scan, GroupBy: []algebra.Scalar{colRef(0, vtypes.KindI64)}, Aggs: aggs,
+			Names: append([]string{"g"}, names...)},
+		&algebra.AggNode{Input: scan, Aggs: aggs, Names: names},
+	} {
+		vec, tup, mat := runAll(t, cat, plan)
+		expectEqual(t, "nullable-aggregate", vec, tup, mat)
+		nulls := 0
+		for _, r := range vec {
+			nulls += strings.Count(r, "NULL")
+		}
+		if len(vec) > 1 && nulls != 4*5 { // groups 8..11: SUM, SUM, MIN, MAX, AVG
+			t.Fatalf("want the 4 all-NULL groups to aggregate to NULL, got %v", vec)
+		}
+	}
 }
 
 func TestDifferentialJoins(t *testing.T) {

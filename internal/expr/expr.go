@@ -4,9 +4,9 @@
 // call per vector, never one interface dispatch per row — the crux of
 // the paper's ">10× over tuple-at-a-time" claim.
 //
-// Expressions assume NULL-free inputs: the rewriter's NULL decomposition
-// (paper §I-B) replaces NULLable expressions with equivalent plans over
-// (indicator, safe value) column pairs before compilation.
+// Kernels compute over the safe value stored under a NULL; arithmetic
+// and casts carry their inputs' NULL masks to the result, so a NULL
+// operand (such as an aggregate over no rows) yields NULL.
 package expr
 
 import (
@@ -100,6 +100,7 @@ type Arith struct {
 	left, right Expr
 	kind        vtypes.Kind
 	buf         *vector.Vector
+	nulls       []bool // union of two operand masks (reused)
 	fn          func(dst, a, b *vector.Vector, sel []int32, n int)
 }
 
@@ -203,7 +204,29 @@ func (a *Arith) Eval(b *vector.Batch) (*vector.Vector, error) {
 	} else {
 		a.fn(a.buf, lv, rv, b.Sel, n)
 	}
+	a.buf.Nulls = unionNulls(&a.nulls, lv.Nulls, rv.Nulls, b)
 	return a.buf, nil
+}
+
+// unionNulls returns the NULL mask of a binary result: nil when neither
+// operand has one (the NULL-free fast path), the one operand's mask when
+// only it does, else the union over the batch's live rows, built in buf.
+func unionNulls(buf *[]bool, l, r []bool, b *vector.Batch) []bool {
+	switch {
+	case l == nil:
+		return r
+	case r == nil:
+		return l
+	}
+	if len(*buf) < len(l) {
+		*buf = make([]bool, len(l))
+	}
+	out := (*buf)[:len(l)]
+	for i := 0; i < b.N; i++ {
+		ix := b.LiveIndex(i)
+		out[ix] = l[ix] || r[ix]
+	}
+	return out
 }
 
 // Cast converts between the numeric storage classes.
@@ -249,6 +272,7 @@ func (c *Cast) Eval(b *vector.Batch) (*vector.Vector, error) {
 	default:
 		return nil, fmt.Errorf("expr: unsupported cast %v → %v", v.Kind, c.kind)
 	}
+	c.buf.Nulls = v.Nulls
 	return c.buf, nil
 }
 

@@ -60,6 +60,13 @@ func evalCol(s algebra.Scalar, in *Rel) (*vector.Vector, error) {
 				}
 			}
 		}
+		if l.Nulls != nil || r.Nulls != nil {
+			for i := 0; i < n; i++ {
+				if l.Get(i).Null || r.Get(i).Null {
+					out.Set(i, vtypes.NullValue(t.K))
+				}
+			}
+		}
 		chargeCol(out, n)
 		return out, nil
 	case *algebra.Cast:
@@ -80,6 +87,7 @@ func evalCol(s algebra.Scalar, in *Rel) (*vector.Vector, error) {
 				primitives.MapF64ToI64(out.I64, v.F64, nil, n)
 			}
 		}
+		out.Nulls = v.Nulls
 		chargeCol(out, n)
 		return out, nil
 	case *algebra.YearOf:

@@ -77,6 +77,9 @@ func execAgg(t *algebra.AggNode, in *Rel) (*Rel, error) {
 			var v vtypes.Value
 			if argCols[a] != nil {
 				v = argCols[a].Get(i)
+				if v.Null {
+					continue // aggregates skip NULL inputs
+				}
 			}
 			switch spec.Fn {
 			case algebra.AggCountStar, algebra.AggCount:
@@ -87,6 +90,7 @@ func execAgg(t *algebra.AggNode, in *Rel) (*Rel, error) {
 				} else {
 					g.isum[a] += v.I64
 				}
+				g.cnt[a]++
 			case algebra.AggAvg:
 				g.sum[a] += v.AsFloat()
 				g.cnt[a]++
@@ -103,9 +107,9 @@ func execAgg(t *algebra.AggNode, in *Rel) (*Rel, error) {
 			}
 		}
 	}
-	// Parallel partials skip the implicit global row: an empty
-	// partition must contribute nothing to the recombination.
-	if len(t.GroupBy) == 0 && len(order) == 0 && !t.Partial {
+	// Ungrouped aggregation over empty input yields one row: COUNT 0,
+	// the other aggregates NULL.
+	if len(t.GroupBy) == 0 && len(order) == 0 {
 		newGroup(vtypes.Row{}) // appends itself to order
 	}
 
@@ -120,9 +124,15 @@ func execAgg(t *algebra.AggNode, in *Rel) (*Rel, error) {
 		}
 		for a, spec := range t.Aggs {
 			col := out.Cols[len(keyCols)+a]
-			switch spec.Fn {
-			case algebra.AggCountStar, algebra.AggCount:
+			switch {
+			case spec.Fn == algebra.AggCountStar || spec.Fn == algebra.AggCount:
 				col.Set(i, vtypes.I64Value(g.cnt[a]))
+				continue
+			case g.cnt[a] == 0:
+				col.Set(i, vtypes.NullValue(spec.Kind()))
+				continue
+			}
+			switch spec.Fn {
 			case algebra.AggSum:
 				if spec.Arg.Kind().StorageClass() == vtypes.ClassF64 {
 					col.Set(i, vtypes.F64Value(g.sum[a]))
@@ -130,11 +140,7 @@ func execAgg(t *algebra.AggNode, in *Rel) (*Rel, error) {
 					col.Set(i, vtypes.I64Value(g.isum[a]))
 				}
 			case algebra.AggAvg:
-				if g.cnt[a] == 0 {
-					col.Set(i, vtypes.F64Value(0))
-				} else {
-					col.Set(i, vtypes.F64Value(g.sum[a]/float64(g.cnt[a])))
-				}
+				col.Set(i, vtypes.F64Value(g.sum[a]/float64(g.cnt[a])))
 			case algebra.AggMin:
 				col.Set(i, g.min[a])
 			case algebra.AggMax:

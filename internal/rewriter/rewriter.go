@@ -129,7 +129,7 @@ func SimplifyPlan(n algebra.Node) algebra.Node {
 	case *algebra.ProjectNode:
 		return &algebra.ProjectNode{Input: SimplifyPlan(t.Input), Exprs: t.Exprs, Names: t.Names}
 	case *algebra.AggNode:
-		return &algebra.AggNode{Input: SimplifyPlan(t.Input), GroupBy: t.GroupBy, Aggs: t.Aggs, Names: t.Names, Partial: t.Partial}
+		return &algebra.AggNode{Input: SimplifyPlan(t.Input), GroupBy: t.GroupBy, Aggs: t.Aggs, Names: t.Names}
 	case *algebra.JoinNode:
 		return &algebra.JoinNode{Left: SimplifyPlan(t.Left), Right: SimplifyPlan(t.Right),
 			LeftKeys: t.LeftKeys, RightKeys: t.RightKeys, Type: t.Type}
@@ -167,7 +167,7 @@ func DecomposeAvg(a *algebra.AggNode) algebra.Node {
 			slots[i] = slot{sum: ng + len(newAggs), cnt: ng + len(newAggs) + 1, plain: -1}
 			newAggs = append(newAggs,
 				algebra.AggExpr{Fn: algebra.AggSum, Arg: &algebra.Cast{In: ag.Arg, To: vtypes.KindF64}},
-				algebra.AggExpr{Fn: algebra.AggCountStar})
+				algebra.AggExpr{Fn: algebra.AggCount, Arg: ag.Arg})
 			newNames = append(newNames, a.Names[ng+i]+"_sum", a.Names[ng+i]+"_cnt")
 			continue
 		}
@@ -306,7 +306,9 @@ func parallelizePipe(n algebra.Node, cat *catalog.Catalog, workers int) algebra.
 }
 
 // parallelizeAgg produces partial aggregates per partition plus a final
-// recombining aggregate (SUM→SUM, COUNT→SUM, MIN→MIN, MAX→MAX).
+// recombining aggregate (SUM→SUM, COUNT→SUM, MIN→MIN, MAX→MAX). An
+// ungrouped partial over an empty partition still emits its row (COUNT
+// 0, the others NULL); the final aggregate skips the NULLs.
 func parallelizeAgg(a *algebra.AggNode, cat *catalog.Catalog, workers int) algebra.Node {
 	for _, ag := range a.Aggs {
 		switch ag.Fn {
@@ -330,7 +332,6 @@ func parallelizeAgg(a *algebra.AggNode, cat *catalog.Catalog, workers int) algeb
 			GroupBy: a.GroupBy,
 			Aggs:    a.Aggs,
 			Names:   a.Names,
-			Partial: true,
 		})
 	}
 	union := &algebra.UnionAllNode{Inputs: inputs}

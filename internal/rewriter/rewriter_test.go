@@ -168,8 +168,10 @@ func TestDecomposeAvg(t *testing.T) {
 	if !ok || len(inner.Aggs) != 2 {
 		t.Fatalf("decomposed agg wrong: %#v", proj.Input)
 	}
-	if inner.Aggs[0].Fn != algebra.AggSum || inner.Aggs[1].Fn != algebra.AggCountStar {
-		t.Fatal("AVG must become SUM + COUNT")
+	// The count is COUNT(arg), not COUNT(*): AVG skips NULL inputs.
+	if inner.Aggs[0].Fn != algebra.AggSum || inner.Aggs[1].Fn != algebra.AggCount ||
+		inner.Aggs[1].Arg != plan.Aggs[0].Arg {
+		t.Fatal("AVG must become SUM(arg) + COUNT(arg)")
 	}
 	// Non-AVG plans pass through unchanged.
 	same := DecomposeAvg(aggPlan(algebra.AggSum))

@@ -107,6 +107,30 @@ func TestQueryEndpointNullAndDate(t *testing.T) {
 	}
 }
 
+// TestQueryEndpointEmptyAggregatesAreNull: aggregates over no rows
+// reach the wire as JSON null; COUNT stays 0.
+func TestQueryEndpointEmptyAggregatesAreNull(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	var got QueryResponse
+	code := postQuery(t, ts, QueryRequest{
+		SQL: `SELECT SUM(k), MIN(k), MAX(k), AVG(k), COUNT(*) FROM kv WHERE k > 10`}, &got)
+	if code != http.StatusOK {
+		t.Fatalf("status %d", code)
+	}
+	if len(got.Rows) != 1 || len(got.Rows[0]) != 5 {
+		t.Fatalf("rows: %v", got.Rows)
+	}
+	row := got.Rows[0]
+	for i := 0; i < 4; i++ {
+		if row[i] != nil {
+			t.Errorf("column %d = %v, want null", i, row[i])
+		}
+	}
+	if row[4] != float64(0) {
+		t.Errorf("COUNT(*) = %v, want 0", row[4])
+	}
+}
+
 func TestStructuredErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	cases := []struct {

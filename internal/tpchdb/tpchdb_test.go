@@ -3,6 +3,7 @@ package tpchdb
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -122,6 +123,48 @@ func collectViaCursor(db *vectorwise.DB, sql string) ([]vtypes.Row, error) {
 			out = append(out, b.Row(i))
 		}
 	}
+}
+
+// TestExplainNarrowScans pins the scan shapes column pruning gives the
+// two queries whose full-width scans used to dominate the suite: Q4
+// reads 3 of orders' 9 columns and 3 of lineitem's 16, and both of
+// Q18's lineitem scans read only l_orderkey and l_quantity.
+func TestExplainNarrowScans(t *testing.T) {
+	db := vectorwise.OpenMemory()
+	if _, err := Load(db, 0.002); err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 2} {
+		db.SetParallelism(par)
+		for _, tc := range []struct {
+			query string
+			want  map[string]int // scan prefix → occurrences
+		}{
+			{"Q4", map[string]int{"Scan orders cols=[0 4 5]": 1, "Scan lineitem cols=[0 11 12]": 1, "Scan lineitem": 1}},
+			{"Q18", map[string]int{"Scan lineitem cols=[0 4]": 2, "Scan lineitem": 2}},
+		} {
+			plan, err := db.Explain(sqlText(t, tc.query))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for prefix, n := range tc.want {
+				if got := strings.Count(plan, prefix); got != n {
+					t.Errorf("%s par=%d: %q appears %d times, want %d\n%s", tc.query, par, prefix, got, n, plan)
+				}
+			}
+		}
+	}
+}
+
+func sqlText(t *testing.T, name string) string {
+	t.Helper()
+	for _, q := range tpch.SQLSuite() {
+		if q.Name == name {
+			return q.SQL
+		}
+	}
+	t.Fatalf("unknown query %s", name)
+	return ""
 }
 
 func findQuery(t *testing.T, name string) tpch.Query {

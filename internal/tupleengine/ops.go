@@ -136,6 +136,9 @@ func (a *aggIter) consume() error {
 				if err != nil {
 					return err
 				}
+				if v.Null {
+					continue // aggregates skip NULL inputs
+				}
 			}
 			switch ag.Fn {
 			case algebra.AggCountStar, algebra.AggCount:
@@ -146,6 +149,7 @@ func (a *aggIter) consume() error {
 				} else {
 					grp.is[i] += v.I64
 				}
+				grp.cnts[i]++
 			case algebra.AggAvg:
 				grp.sums[i] += v.AsFloat()
 				grp.cnts[i]++
@@ -162,10 +166,9 @@ func (a *aggIter) consume() error {
 			}
 		}
 	}
-	// Ungrouped aggregation over empty input yields one zero row, like
-	// the vectorized engine — unless this is a parallel partial, whose
-	// empty partitions must contribute nothing to the recombination.
-	if len(n.GroupBy) == 0 && len(a.order) == 0 && !n.Partial {
+	// Ungrouped aggregation over empty input yields one row: COUNT 0,
+	// the other aggregates NULL.
+	if len(n.GroupBy) == 0 && len(a.order) == 0 {
 		a.order = append(a.order, &aggGroup{
 			key:  vtypes.Row{},
 			sums: make([]float64, len(n.Aggs)),
@@ -194,9 +197,15 @@ func (a *aggIter) Next() (vtypes.Row, bool, error) {
 	out := make(vtypes.Row, 0, len(n.GroupBy)+len(n.Aggs))
 	out = append(out, grp.key...)
 	for i, ag := range n.Aggs {
-		switch ag.Fn {
-		case algebra.AggCountStar, algebra.AggCount:
+		switch {
+		case ag.Fn == algebra.AggCountStar || ag.Fn == algebra.AggCount:
 			out = append(out, vtypes.I64Value(grp.cnts[i]))
+			continue
+		case grp.cnts[i] == 0:
+			out = append(out, vtypes.NullValue(ag.Kind()))
+			continue
+		}
+		switch ag.Fn {
 		case algebra.AggSum:
 			if ag.Arg.Kind().StorageClass() == vtypes.ClassF64 {
 				out = append(out, vtypes.F64Value(grp.sums[i]))
@@ -204,11 +213,7 @@ func (a *aggIter) Next() (vtypes.Row, bool, error) {
 				out = append(out, vtypes.I64Value(grp.is[i]))
 			}
 		case algebra.AggAvg:
-			if grp.cnts[i] == 0 {
-				out = append(out, vtypes.F64Value(0))
-			} else {
-				out = append(out, vtypes.F64Value(grp.sums[i]/float64(grp.cnts[i])))
-			}
+			out = append(out, vtypes.F64Value(grp.sums[i]/float64(grp.cnts[i])))
 		case algebra.AggMin:
 			out = append(out, grp.mins[i])
 		case algebra.AggMax:

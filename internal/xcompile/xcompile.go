@@ -171,7 +171,6 @@ func (c *compiler) nodeInner(n algebra.Node) (core.Operator, error) {
 			aggs[i] = spec
 		}
 		agg := core.NewHashAggregate(child, groups, aggs, t.Names)
-		agg.SetPartial(t.Partial)
 		agg.SetStatsSink(c.opts.HashStats)
 		return agg, nil
 

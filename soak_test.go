@@ -203,6 +203,10 @@ func TestMixedWorkloadSoak(t *testing.T) {
 	if got := res.Rows[0][0].I64; got != want {
 		t.Fatalf("final row count %d, want %d", got, want)
 	}
+	// Stop the background mover first so the manual pass below is the
+	// only one: a concurrent tick can win the fold, and then the manual
+	// pass returns before its rebuild while the tick's is in flight.
+	db.SetMoverInterval(0)
 	// The mover must have actually moved tuples. One more insert
 	// guarantees a tail layer exists, so the manual pass must fold it;
 	// and if no stable rebuild happened live, the big PDT now holds the
