@@ -61,10 +61,11 @@ import (
 	"vectorwise/internal/rewriter"
 	"vectorwise/internal/sql"
 	"vectorwise/internal/storage"
-	"vectorwise/internal/tupleengine"
 	"vectorwise/internal/txn"
+	"vectorwise/internal/vector"
 	"vectorwise/internal/vtypes"
 	"vectorwise/internal/wal"
+	"vectorwise/internal/xcompile"
 )
 
 // DB is a database instance. All exported methods are safe for
@@ -905,44 +906,99 @@ func (db *DB) execInsert(s *sql.InsertStmt, params []vtypes.Value) (int64, error
 	return int64(len(s.Rows)), nil
 }
 
-// matchingRIDs scans a table in a transaction and returns the RIDs whose
-// rows satisfy pred (nil = all).
-func (db *DB) matchingRIDs(tx *txn.Txn, table string, pred algebra.Scalar) ([]int64, error) {
-	src, schema, err := tx.Scan(table, 0)
+// dmlPlan compiles the row-finding half of an UPDATE or DELETE to the
+// SELECT engine's algebra: Project[row position, sets…](Select[where]
+// (Scan)). WHERE is simplified as a SELECT's is, its sargable conjuncts
+// move into the scan (row groups are pruned by min/max), and the scan
+// is narrowed to the columns WHERE and SET read. where may be nil;
+// names label the SET outputs.
+func dmlPlan(table string, schema *vtypes.Schema, where algebra.Scalar, sets []algebra.Scalar, names []string) (algebra.Node, error) {
+	n := schema.Len()
+	cols := make([]int, n+1)
+	for i := range n {
+		cols[i] = i
+	}
+	cols[n] = algebra.RowPosCol
+	out := &vtypes.Schema{Cols: append(append([]vtypes.Column(nil), schema.Cols...), algebra.RowPosColumn)}
+	var plan algebra.Node = &algebra.ScanNode{Table: table, Cols: cols, Out: out}
+	if where != nil {
+		plan = &algebra.SelectNode{Input: plan, Pred: rewriter.Simplify(where)}
+	}
+	exprs := append([]algebra.Scalar{&algebra.ColRef{Idx: n, K: vtypes.KindI64}}, sets...)
+	plan = &algebra.ProjectNode{Input: plan, Exprs: exprs, Names: append([]string{algebra.RowPosColumn.Name}, names...)}
+	return rewriter.PruneColumns(algebra.PushFiltersIntoScans(plan))
+}
+
+// runDML executes a dmlPlan in one transaction and commits it. The
+// plan runs serially over the transaction's snapshot of the table —
+// never over its own writes, so no row is seen twice however many the
+// statement has already changed — and apply writes each batch through
+// tx: column 0 holds the row positions, the rest the SET values. Rows
+// arrive in ascending position order.
+func (db *DB) runDML(table string, plan algebra.Node, apply func(tx *txn.Txn, b *vector.Batch) error) error {
+	tx := db.txm.Begin()
+	if err := db.drainDML(tx, plan, apply); err != nil {
+		tx.Abort()
+		return err
+	}
+	if err := tx.Commit(); err != nil {
+		return err
+	}
+	return db.refreshLayers(table)
+}
+
+func (db *DB) drainDML(tx *txn.Txn, plan algebra.Node, apply func(tx *txn.Txn, b *vector.Batch) error) error {
+	op, err := xcompile.Compile(plan, db.cat, xcompile.Options{Fetch: db.buf, Resolver: tx, NoPrune: db.noSkip})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	_ = schema
-	var rids []int64
-	var rid int64
+	if err := op.Open(); err != nil {
+		return err
+	}
+	defer op.Close()
 	for {
-		cols, n, err := src.Next()
-		if err != nil {
-			return nil, err
+		b, err := op.Next()
+		if err != nil || b == nil {
+			return err
 		}
-		if n == 0 {
-			return rids, nil
-		}
-		for i := 0; i < n; i++ {
-			if pred == nil {
-				rids = append(rids, rid)
-				rid++
-				continue
-			}
-			row := make(vtypes.Row, len(cols))
-			for c, v := range cols {
-				row[c] = v.Get(i)
-			}
-			v, err := tupleengine.EvalRow(pred, row)
-			if err != nil {
-				return nil, err
-			}
-			if !v.Null && v.B {
-				rids = append(rids, rid)
-			}
-			rid++
+		if err := apply(tx, b); err != nil {
+			return err
 		}
 	}
+}
+
+// lowerWhere lowers an optional DML WHERE clause against the table.
+func lowerWhere(planner *sql.Planner, where sql.Expr, schema *vtypes.Schema) (algebra.Scalar, error) {
+	if where == nil {
+		return nil, nil
+	}
+	return planner.LowerOnTable(where, schema)
+}
+
+// updatePlan lowers an UPDATE of a table with the given schema to its
+// dmlPlan, returning also the table column each SET output (plan column
+// 1, 2, …) writes.
+func (db *DB) updatePlan(s *sql.UpdateStmt, schema *vtypes.Schema, params []vtypes.Value) (algebra.Node, []int, error) {
+	planner := &sql.Planner{Cat: db.cat, Params: params}
+	where, err := lowerWhere(planner, s.Where, schema)
+	if err != nil {
+		return nil, nil, err
+	}
+	setCols := make([]int, len(s.SetCols))
+	sets := make([]algebra.Scalar, len(s.SetCols))
+	for i, name := range s.SetCols {
+		ci := schema.ColIndex(name)
+		if ci < 0 {
+			return nil, nil, fmt.Errorf("vectorwise: unknown column %q", name)
+		}
+		setCols[i] = ci
+		// SET expressions may reference the current row.
+		if sets[i], err = planner.LowerSet(s.SetExprs[i], schema, schema.Col(ci).Kind); err != nil {
+			return nil, nil, err
+		}
+	}
+	plan, err := dmlPlan(s.Table, schema, where, sets, s.SetCols)
+	return plan, setCols, err
 }
 
 func (db *DB) execUpdate(s *sql.UpdateStmt, params []vtypes.Value) (int64, error) {
@@ -951,60 +1007,32 @@ func (db *DB) execUpdate(s *sql.UpdateStmt, params []vtypes.Value) (int64, error
 		return 0, err
 	}
 	schema := ent.Table.Schema()
-	planner := &sql.Planner{Cat: db.cat, Params: params}
-	var pred algebra.Scalar
-	if s.Where != nil {
-		pred, err = planner.LowerOnTable(s.Where, schema)
-		if err != nil {
-			return 0, err
-		}
-	}
-	tx := db.txm.Begin()
-	rids, err := db.matchingRIDs(tx, s.Table, pred)
+	plan, setCols, err := db.updatePlan(s, schema, params)
 	if err != nil {
-		tx.Abort()
 		return 0, err
 	}
-	for _, rid := range rids {
-		for si, colName := range s.SetCols {
-			ci := schema.ColIndex(colName)
-			if ci < 0 {
-				tx.Abort()
-				return 0, fmt.Errorf("vectorwise: unknown column %q", colName)
-			}
-			// SET expressions may reference the current row.
-			valExpr, err := planner.LowerSet(s.SetExprs[si], schema, schema.Col(ci).Kind)
-			if err != nil {
-				tx.Abort()
-				return 0, err
-			}
-			row, err := tx.RowAt(s.Table, rid)
-			if err != nil {
-				tx.Abort()
-				return 0, err
-			}
-			v, err := tupleengine.EvalRow(valExpr, row)
-			if err != nil {
-				tx.Abort()
-				return 0, err
-			}
-			if v, err = algebra.CoerceValue(v, schema.Col(ci).Kind); err != nil {
-				tx.Abort()
-				return 0, err
-			}
-			if err := tx.Update(s.Table, rid, ci, v); err != nil {
-				tx.Abort()
-				return 0, err
+	var n int64
+	err = db.runDML(s.Table, plan, func(tx *txn.Txn, b *vector.Batch) error {
+		rids := b.Vecs[0].I64
+		for i := 0; i < b.N; i++ {
+			ix := b.LiveIndex(i)
+			for j, ci := range setCols {
+				v, err := algebra.CoerceValue(b.Vecs[j+1].Get(ix), schema.Col(ci).Kind)
+				if err != nil {
+					return err
+				}
+				if err := tx.Update(s.Table, rids[ix], ci, v); err != nil {
+					return err
+				}
 			}
 		}
-	}
-	if err := tx.Commit(); err != nil {
+		n += int64(b.N)
+		return nil
+	})
+	if err != nil {
 		return 0, err
 	}
-	if err := db.refreshLayers(s.Table); err != nil {
-		return 0, err
-	}
-	return int64(len(rids)), nil
+	return n, nil
 }
 
 func (db *DB) execDelete(s *sql.DeleteStmt, params []vtypes.Value) (int64, error) {
@@ -1013,34 +1041,31 @@ func (db *DB) execDelete(s *sql.DeleteStmt, params []vtypes.Value) (int64, error
 		return 0, err
 	}
 	schema := ent.Table.Schema()
-	planner := &sql.Planner{Cat: db.cat, Params: params}
-	var pred algebra.Scalar
-	if s.Where != nil {
-		pred, err = planner.LowerOnTable(s.Where, schema)
-		if err != nil {
-			return 0, err
-		}
-	}
-	tx := db.txm.Begin()
-	rids, err := db.matchingRIDs(tx, s.Table, pred)
+	where, err := lowerWhere(&sql.Planner{Cat: db.cat, Params: params}, s.Where, schema)
 	if err != nil {
-		tx.Abort()
 		return 0, err
 	}
-	// Delete back to front so earlier RIDs stay valid.
-	for i := len(rids) - 1; i >= 0; i-- {
-		if err := tx.Delete(s.Table, rids[i]); err != nil {
-			tx.Abort()
-			return 0, err
+	plan, err := dmlPlan(s.Table, schema, where, nil, nil)
+	if err != nil {
+		return 0, err
+	}
+	var n int64
+	err = db.runDML(s.Table, plan, func(tx *txn.Txn, b *vector.Batch) error {
+		rids := b.Vecs[0].I64
+		for i := 0; i < b.N; i++ {
+			// Positions ascend, and each of the n rows already deleted
+			// sat before this one in the transaction's image.
+			if err := tx.Delete(s.Table, rids[b.LiveIndex(i)]-n); err != nil {
+				return err
+			}
+			n++
 		}
-	}
-	if err := tx.Commit(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return 0, err
 	}
-	if err := db.refreshLayers(s.Table); err != nil {
-		return 0, err
-	}
-	return int64(len(rids)), nil
+	return n, nil
 }
 
 // Checkpoint folds a table's committed deltas (big PDT and all tail

@@ -330,6 +330,7 @@ func TestAggregatesSkipNulls(t *testing.T) {
 			`SELECT COUNT(v), MIN(v), MAX(v), SUM(v), AVG(v), COUNT(*) FROM p`:   "[[3 10 50 80 26.666666666666668 5]]",
 			`SELECT k, SUM(v), AVG(v) FROM p WHERE k <= 2 GROUP BY k ORDER BY k`: "[[1 10 10] [2 NULL NULL]]",
 			`SELECT k + v FROM p ORDER BY k`:                                     "[[11] [NULL] [23] [NULL] [55]]",
+			`SELECT k % 3, v % 7, (0 - v) % 7, k % 0 FROM p ORDER BY k`:          "[[1 3 -3 0] [2 NULL NULL 0] [0 6 -6 0] [1 NULL NULL 0] [2 1 -1 0]]",
 		} {
 			res, err := db.Query(q)
 			if err != nil {

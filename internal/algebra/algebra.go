@@ -33,7 +33,8 @@ type Node interface {
 type ScanNode struct {
 	// Table is the catalog name.
 	Table string
-	// Cols are column indexes into the table's full schema.
+	// Cols are column indexes into the table's full schema, or
+	// RowPosCol for the row-position output.
 	Cols []int
 	// Out is the projected schema (filled by the planner).
 	Out *vtypes.Schema
@@ -50,6 +51,26 @@ type ScanNode struct {
 	// ordinary selection. ColRef indexes are positions in Cols, i.e.
 	// the scan's output schema.
 	Filters []Scalar
+}
+
+// RowPosCol in ScanNode.Cols selects the row-position output: each
+// row's 0-based position (BIGINT) in the image the scan reads — the
+// stable image merged with the PDT layers it resolves. UPDATE and
+// DELETE plans read it to address the rows they change; SQL cannot
+// name it. Only the vectorized engine executes it.
+const RowPosCol = -1
+
+// RowPosColumn is the schema entry of the row-position output.
+var RowPosColumn = vtypes.Column{Name: "rowpos", Kind: vtypes.KindI64}
+
+// HasRowPos reports whether the scan outputs the row position.
+func (s *ScanNode) HasRowPos() bool {
+	for _, c := range s.Cols {
+		if c == RowPosCol {
+			return true
+		}
+	}
+	return false
 }
 
 // Schema implements Node.
@@ -244,7 +265,14 @@ func explain(n Node, depth int) string {
 	var line string
 	switch t := n.(type) {
 	case *ScanNode:
-		line = fmt.Sprintf("Scan %s cols=%v", t.Table, t.Cols)
+		cols := make([]string, len(t.Cols))
+		for i, c := range t.Cols {
+			cols[i] = fmt.Sprint(c)
+			if c == RowPosCol {
+				cols[i] = RowPosColumn.Name
+			}
+		}
+		line = fmt.Sprintf("Scan %s cols=[%s]", t.Table, strings.Join(cols, " "))
 		if t.PartHi > 0 {
 			line += fmt.Sprintf(" part=[%d,%d)", t.PartLo, t.PartHi)
 		}

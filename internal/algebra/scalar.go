@@ -55,9 +55,10 @@ const (
 	OpSub
 	OpMul
 	OpDiv
+	OpMod
 )
 
-func (o ArithOp) String() string { return [...]string{"+", "-", "*", "/"}[o] }
+func (o ArithOp) String() string { return [...]string{"+", "-", "*", "/", "%"}[o] }
 
 // Arith is binary arithmetic; K is resolved at construction.
 type Arith struct {

@@ -19,9 +19,18 @@ import (
 // (and after delta merge), so downstream operators see pre-filtered
 // selection vectors, and it is the predicate row-group pruning was
 // derived from.
+//
+// A RowPosCol entry among the columns outputs each row's position in
+// the image the scan reads (stable image merged with its PDT layers):
+// the storage scanner's batch position, or the top merge's BasePos
+// when deltas exist. Both stay exact across pruned row-group gaps and
+// partition starts. DML statements address the rows they change by it.
 type Scan struct {
-	table   *storage.Table
+	table *storage.Table
+	// cols are the stored columns read, in output order; posIdx is the
+	// output index of the row-position column, -1 when absent.
 	cols    []int
+	posIdx  int
 	fetch   storage.ChunkFetcher
 	prune   storage.PruneFn
 	filter  Pred
@@ -34,10 +43,14 @@ type Scan struct {
 
 	schema *vtypes.Schema
 	sc     *storage.Scanner
-	merged pdt.RowSource
+	merged *pdt.MergeScan // top of the merge chain; nil without deltas
 	batch  *vector.Batch
 	ctx    context.Context
 }
+
+// RowPosCol, given as a column index to NewScan, selects the row
+// position (BIGINT) instead of a stored column.
+const RowPosCol = -1
 
 // ScanOpts configures a Scan.
 type ScanOpts struct {
@@ -65,16 +78,26 @@ type ScanOpts struct {
 	GroupLo, GroupHi int
 }
 
-// NewScan builds a scan of the given column indexes of t.
+// NewScan builds a scan of the given column indexes of t (RowPosCol
+// for the row position).
 func NewScan(t *storage.Table, cols []int, opts ScanOpts) *Scan {
 	full := t.Schema()
 	outCols := make([]vtypes.Column, len(cols))
+	stored := make([]int, 0, len(cols))
+	posIdx := -1
 	for i, c := range cols {
+		if c == RowPosCol {
+			outCols[i] = vtypes.Column{Name: "rowpos", Kind: vtypes.KindI64}
+			posIdx = i
+			continue
+		}
 		outCols[i] = full.Cols[c]
+		stored = append(stored, c)
 	}
 	s := &Scan{
 		table:   t,
-		cols:    append([]int(nil), cols...),
+		cols:    stored,
+		posIdx:  posIdx,
 		fetch:   opts.Fetch,
 		prune:   opts.Prune,
 		filter:  opts.Filter,
@@ -139,13 +162,14 @@ func (s *Scan) Open() error {
 	}
 	if s.hasDeltas() {
 		var src pdt.RowSource = &scanSource{sc: s.sc}
+		stored := s.table.Schema().Project(s.cols)
 		for _, layer := range s.layers {
 			if layer == nil || layer.Empty() {
 				continue
 			}
-			src = pdt.NewMergeScan(src, pdt.ProjectCols(layer, s.cols, s.schema), s.vecSize)
+			s.merged = pdt.NewMergeScan(src, pdt.ProjectCols(layer, s.cols, stored), s.vecSize)
+			src = s.merged
 		}
-		s.merged = src
 	}
 	return nil
 }
@@ -190,20 +214,38 @@ func (s *Scan) nextRaw() (*vector.Batch, error) {
 		if err != nil || n == 0 {
 			return nil, err
 		}
-		b := &vector.Batch{Vecs: vecs}
+		b := &vector.Batch{Vecs: s.withRowPos(vecs, s.merged.BasePos(), n)}
 		b.SetDense(n)
 		return b, nil
 	}
-	vecs, _, n, err := s.sc.Next()
+	vecs, pos, n, err := s.sc.Next()
 	if err != nil || n == 0 {
 		return nil, err
 	}
 	if s.batch == nil {
 		s.batch = &vector.Batch{}
 	}
-	s.batch.Vecs = vecs
+	s.batch.Vecs = s.withRowPos(vecs, pos, n)
 	s.batch.SetDense(n)
 	return s.batch, nil
+}
+
+// withRowPos inserts the row-position column, positions pos..pos+n-1,
+// at its output index. The batch rows are contiguous in the image: the
+// storage scanner and the merge both cut batches at position gaps. The
+// vector is fresh per batch, since downstream operators may retain it.
+func (s *Scan) withRowPos(vecs []*vector.Vector, pos int64, n int) []*vector.Vector {
+	if s.posIdx < 0 {
+		return vecs
+	}
+	rp := vector.New(vtypes.KindI64, n)
+	for i := range rp.I64 {
+		rp.I64[i] = pos + int64(i)
+	}
+	out := make([]*vector.Vector, 0, len(vecs)+1)
+	out = append(out, vecs[:s.posIdx]...)
+	out = append(out, rp)
+	return append(out, vecs[s.posIdx:]...)
 }
 
 // Close implements Operator.

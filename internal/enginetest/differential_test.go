@@ -9,6 +9,7 @@ package enginetest
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -252,13 +253,10 @@ func TestDifferentialAggregatesOverEmptyInput(t *testing.T) {
 	}
 }
 
-// TestDifferentialAggregatesSkipNulls: NULL arguments are skipped and an
-// all-NULL group aggregates to NULL, identically in all three engines.
-// The first row groups hold no NULLs, so the vectorized engine meets its
-// first NULL only after groups exist — and in the same batch as groups
-// (g >= 8) whose every input is NULL, while group 7 only ever sees
-// NULLs after its values.
-func TestDifferentialAggregatesSkipNulls(t *testing.T) {
+// nullableFixture catalogs nv(g BIGINT, v BIGINT NULL, f DOUBLE NULL):
+// 1000 rows in groups of 100, NULL-free for the first 300 rows.
+func nullableFixture(t *testing.T) (*catalog.Catalog, *storage.Table) {
+	t.Helper()
 	cat := catalog.New()
 	b := storage.NewBuilder("nv", vtypes.NewSchema(
 		vtypes.Column{Name: "g", Kind: vtypes.KindI64},
@@ -283,6 +281,48 @@ func TestDifferentialAggregatesSkipNulls(t *testing.T) {
 		t.Fatal(err)
 	}
 	cat.Put(tbl)
+	return cat, tbl
+}
+
+// TestDifferentialModulo: `%` over integers and floats, with NULL
+// operands and zero divisors, agrees in all three engines; a NULL
+// operand yields NULL and modulo by zero yields 0.
+func TestDifferentialModulo(t *testing.T) {
+	cat, tbl := nullableFixture(t)
+	scan := &algebra.ScanNode{Table: "nv", Cols: []int{0, 1, 2}, Out: tbl.Schema()}
+	mod := func(l, r algebra.Scalar) algebra.Scalar {
+		a, err := algebra.NewArith(algebra.OpMod, l, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	g, v, f := colRef(0, vtypes.KindI64), colRef(1, vtypes.KindI64), colRef(2, vtypes.KindF64)
+	plan := &algebra.ProjectNode{Input: scan, Exprs: []algebra.Scalar{
+		mod(v, lit(vtypes.I64Value(7))),
+		mod(g, v), // v = 0 in the first row
+		mod(f, lit(vtypes.F64Value(2.5))),
+		mod(lit(vtypes.I64Value(-9)), g), // g = 0 in every eighth row
+	}, Names: []string{"a", "b", "c", "d"}}
+	vec, tup, mat := runAll(t, cat, plan)
+	expectEqual(t, "modulo", vec, tup, mat)
+	nulls := 0
+	for _, r := range vec {
+		nulls += strings.Count(r, "NULL")
+	}
+	if nulls == 0 || !slices.Contains(vec, "0|0|0.000000|0") {
+		t.Fatalf("want NULL rows and the all-zero first row, got %v", vec[:5])
+	}
+}
+
+// TestDifferentialAggregatesSkipNulls: NULL arguments are skipped and an
+// all-NULL group aggregates to NULL, identically in all three engines.
+// The first row groups hold no NULLs, so the vectorized engine meets its
+// first NULL only after groups exist — and in the same batch as groups
+// (g >= 8) whose every input is NULL, while group 7 only ever sees
+// NULLs after its values.
+func TestDifferentialAggregatesSkipNulls(t *testing.T) {
+	cat, tbl := nullableFixture(t)
 	scan := &algebra.ScanNode{Table: "nv", Cols: []int{0, 1, 2}, Out: tbl.Schema()}
 	aggs := []algebra.AggExpr{
 		{Fn: algebra.AggSum, Arg: colRef(1, vtypes.KindI64)},

@@ -79,6 +79,7 @@ const (
 	OpSub
 	OpMul
 	OpDiv
+	OpMod
 )
 
 func (o ArithOp) String() string {
@@ -89,6 +90,8 @@ func (o ArithOp) String() string {
 		return "-"
 	case OpMul:
 		return "*"
+	case OpMod:
+		return "%"
 	default:
 		return "/"
 	}
@@ -153,6 +156,10 @@ func NewArith(op ArithOp, left, right Expr) (*Arith, error) {
 			a.fn = func(dst, x, y *vector.Vector, sel []int32, n int) {
 				primitives.MapDivVV(dst.I64, x.I64, y.I64, sel, n)
 			}
+		case OpMod:
+			a.fn = func(dst, x, y *vector.Vector, sel []int32, n int) {
+				primitives.MapModVV(dst.I64, x.I64, y.I64, sel, n)
+			}
 		}
 	case vtypes.ClassF64:
 		switch op {
@@ -171,6 +178,10 @@ func NewArith(op ArithOp, left, right Expr) (*Arith, error) {
 		case OpDiv:
 			a.fn = func(dst, x, y *vector.Vector, sel []int32, n int) {
 				primitives.MapDivVV(dst.F64, x.F64, y.F64, sel, n)
+			}
+		case OpMod:
+			a.fn = func(dst, x, y *vector.Vector, sel []int32, n int) {
+				primitives.MapFModVV(dst.F64, x.F64, y.F64, sel, n)
 			}
 		}
 	default:

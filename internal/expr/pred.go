@@ -102,8 +102,26 @@ func (p *cmpConst) Filter(b *vector.Batch) error {
 			k = primitives.SelFalse(res, v.B, b.Sel, b.N)
 		}
 	}
-	b.SetSel(res, k)
+	b.SetSel(res, dropNulls(res, k, v.Nulls))
 	return nil
+}
+
+// dropNulls removes the rows whose operand is NULL from the k rows a
+// kernel selected into res, returning the new count: a comparison with
+// NULL is never true, whatever safe value sits under the NULL. A nil
+// mask is the NULL-free fast path.
+func dropNulls(res []int32, k int, nulls []bool) int {
+	if nulls == nil {
+		return k
+	}
+	j := 0
+	for _, i := range res[:k] {
+		if !nulls[i] {
+			res[j] = i
+			j++
+		}
+	}
+	return j
 }
 
 func selCmp[T primitives.Ordered](res []int32, a []T, c T, op CmpOp, sel []int32, n int) int {
@@ -171,7 +189,7 @@ func (p *cmpCols) Filter(b *vector.Batch) error {
 			k = primitives.SelNeVV(res, lv.B, rv.B, b.Sel, b.N)
 		}
 	}
-	b.SetSel(res, k)
+	b.SetSel(res, dropNulls(res, dropNulls(res, k, lv.Nulls), rv.Nulls))
 	return nil
 }
 
@@ -224,7 +242,7 @@ func (p *between) Filter(b *vector.Batch) error {
 	default:
 		return fmt.Errorf("expr: BETWEEN unsupported for %v", v.Kind)
 	}
-	b.SetSel(res, k)
+	b.SetSel(res, dropNulls(res, k, v.Nulls))
 	return nil
 }
 
@@ -256,7 +274,7 @@ func (p *like) Filter(b *vector.Batch) error {
 	} else {
 		k = primitives.SelLike(res, v.Str, p.pattern, b.Sel, b.N)
 	}
-	b.SetSel(res, k)
+	b.SetSel(res, dropNulls(res, k, v.Nulls))
 	return nil
 }
 
@@ -298,7 +316,7 @@ func (p *inSet) Filter(b *vector.Batch) error {
 	} else {
 		k = primitives.SelInSet(res, v.I64, p.i64s, b.Sel, b.N)
 	}
-	b.SetSel(res, k)
+	b.SetSel(res, dropNulls(res, k, v.Nulls))
 	return nil
 }
 

@@ -44,6 +44,8 @@ func evalCol(s algebra.Scalar, in *Rel) (*vector.Vector, error) {
 					primitives.MapSubVV(out.F64, l.F64, r.F64, nil, n)
 				case algebra.OpMul:
 					primitives.MapMulVV(out.F64, l.F64, r.F64, nil, n)
+				case algebra.OpMod:
+					primitives.MapFModVV(out.F64, l.F64, r.F64, nil, n)
 				default:
 					primitives.MapDivVV(out.F64, l.F64, r.F64, nil, n)
 				}
@@ -55,6 +57,8 @@ func evalCol(s algebra.Scalar, in *Rel) (*vector.Vector, error) {
 					primitives.MapSubVV(out.I64, l.I64, r.I64, nil, n)
 				case algebra.OpMul:
 					primitives.MapMulVV(out.I64, l.I64, r.I64, nil, n)
+				case algebra.OpMod:
+					primitives.MapModVV(out.I64, l.I64, r.I64, nil, n)
 				default:
 					primitives.MapDivVV(out.I64, l.I64, r.I64, nil, n)
 				}

@@ -180,6 +180,9 @@ func iota32(n int) []int32 {
 
 // execScan materializes whole columns (BAT-style base access).
 func execScan(t *algebra.ScanNode, cat *catalog.Catalog) (*Rel, error) {
+	if t.HasRowPos() {
+		return nil, fmt.Errorf("matengine: row-position scans run in the vectorized engine only")
+	}
 	tbl, layers, err := cat.Resolve(t.Table)
 	if err != nil {
 		return nil, err

@@ -336,8 +336,7 @@ func viewRange(v *vector.Vector, lo, hi int) *vector.Vector {
 	return out
 }
 
-// Materialize drains a RowSource into full rows (test helper and the
-// update layer's snapshot reads).
+// Materialize drains a RowSource into full rows (test helper).
 func Materialize(src RowSource, schema *vtypes.Schema) ([]vtypes.Row, error) {
 	var out []vtypes.Row
 	for {

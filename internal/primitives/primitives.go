@@ -19,6 +19,8 @@
 // Suffixes VV and VC distinguish vector⊕vector from vector⊕constant.
 package primitives
 
+import "math"
+
 // Number constrains the arithmetic kernel element types. Dates share the
 // int64 instantiation.
 type Number interface {
@@ -140,6 +142,52 @@ func MapDivVV[T Number](dst, a, b []T, sel []int32, n int) {
 			continue
 		}
 		dst[i] = a[i] / b[i]
+	}
+}
+
+// MapModVV computes dst[i] = a[i] % b[i] for each live i: the
+// remainder of truncated division, with the sign of a. Modulo by zero
+// yields 0, like MapDivVV.
+func MapModVV(dst, a, b []int64, sel []int32, n int) {
+	if sel == nil {
+		_ = dst[n-1]
+		for i := 0; i < n; i++ {
+			if b[i] == 0 {
+				dst[i] = 0
+				continue
+			}
+			dst[i] = a[i] % b[i]
+		}
+		return
+	}
+	for _, i := range sel[:n] {
+		if b[i] == 0 {
+			dst[i] = 0
+			continue
+		}
+		dst[i] = a[i] % b[i]
+	}
+}
+
+// MapFModVV is MapModVV over floats (math.Mod); modulo by zero yields 0.
+func MapFModVV(dst, a, b []float64, sel []int32, n int) {
+	if sel == nil {
+		_ = dst[n-1]
+		for i := 0; i < n; i++ {
+			if b[i] == 0 {
+				dst[i] = 0
+				continue
+			}
+			dst[i] = math.Mod(a[i], b[i])
+		}
+		return
+	}
+	for _, i := range sel[:n] {
+		if b[i] == 0 {
+			dst[i] = 0
+			continue
+		}
+		dst[i] = math.Mod(a[i], b[i])
 	}
 }
 

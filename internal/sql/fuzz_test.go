@@ -39,6 +39,8 @@ func FuzzParse(f *testing.F) {
 		`SELECT k FROM t WHERE k IN (SELECT k FROM u WHERE v > ?)`,
 		`SELECT k FROM t WHERE k NOT IN (SELECT k FROM u)`,
 		`SELECT k, SUM(v) FROM t GROUP BY k ORDER BY SUM(v) DESC, k + 1`,
+		`UPDATE u SET v = v + 1 WHERE k - (k/10)*10 = $1 OR k % 7 = ?`,
+		`SELECT k % 3 * 2, -v % (k + 1) FROM t WHERE v%2 = 0`,
 	}
 	for _, s := range seeds {
 		f.Add(s)

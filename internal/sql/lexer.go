@@ -210,6 +210,7 @@ const (
 	symPlus
 	symMinus
 	symSlash
+	symPercent
 	symEq
 	symLt
 	symGt
@@ -225,7 +226,7 @@ const (
 // tokens never point into the source).
 var symNames = [symCount_]string{
 	symLParen: "(", symRParen: ")", symComma: ",", symStar: "*",
-	symPlus: "+", symMinus: "-", symSlash: "/", symEq: "=", symLt: "<",
+	symPlus: "+", symMinus: "-", symSlash: "/", symPercent: "%", symEq: "=", symLt: "<",
 	symGt: ">", symLe: "<=", symGe: ">=", symNe: "<>", symDot: ".",
 	symSemi: ";",
 }

@@ -770,6 +770,7 @@ func init() {
 	symInfixBP[symMinus] = bpAdd
 	symInfixBP[symStar] = bpMul
 	symInfixBP[symSlash] = bpMul
+	symInfixBP[symPercent] = bpMul
 }
 
 func (p *parser) bin(op string, l, r Expr) Expr {
@@ -858,7 +859,7 @@ func (p *parser) expr(minBP int) (Expr, error) {
 				return nil, err
 			}
 			lhs = p.bin(op, lhs, r)
-		case t.kind == tokSymbol && (t.sym == symStar || t.sym == symSlash):
+		case t.kind == tokSymbol && (t.sym == symStar || t.sym == symSlash || t.sym == symPercent):
 			op := symNames[t.sym]
 			if err := p.advance(); err != nil {
 				return nil, err

@@ -635,8 +635,8 @@ func (p *Planner) lower(e Expr, sc *scope) (algebra.Scalar, error) {
 			return &algebra.And{Preds: []algebra.Scalar{l, r}}, nil
 		case "OR":
 			return &algebra.Or{Preds: []algebra.Scalar{l, r}}, nil
-		case "+", "-", "*", "/":
-			op := map[string]algebra.ArithOp{"+": algebra.OpAdd, "-": algebra.OpSub, "*": algebra.OpMul, "/": algebra.OpDiv}[t.Op]
+		case "+", "-", "*", "/", "%":
+			op := map[string]algebra.ArithOp{"+": algebra.OpAdd, "-": algebra.OpSub, "*": algebra.OpMul, "/": algebra.OpDiv, "%": algebra.OpMod}[t.Op]
 			// Widen int literals beside float columns.
 			l, r = widenPair(l, r)
 			return algebra.NewArith(op, l, r)

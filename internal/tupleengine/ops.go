@@ -2,6 +2,7 @@ package tupleengine
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"vectorwise/internal/algebra"
@@ -507,12 +508,14 @@ func EvalRow(s algebra.Scalar, row vtypes.Row) (vtypes.Value, error) {
 				return vtypes.F64Value(lf - rf), nil
 			case algebra.OpMul:
 				return vtypes.F64Value(lf * rf), nil
-			default:
-				if rf == 0 {
-					return vtypes.F64Value(0), nil
-				}
-				return vtypes.F64Value(lf / rf), nil
 			}
+			if rf == 0 {
+				return vtypes.F64Value(0), nil
+			}
+			if t.Op == algebra.OpMod {
+				return vtypes.F64Value(math.Mod(lf, rf)), nil
+			}
+			return vtypes.F64Value(lf / rf), nil
 		}
 		li, ri := l.AsInt(), r.AsInt()
 		var v int64
@@ -523,10 +526,12 @@ func EvalRow(s algebra.Scalar, row vtypes.Row) (vtypes.Value, error) {
 			v = li - ri
 		case algebra.OpMul:
 			v = li * ri
+		case algebra.OpMod:
+			if ri != 0 {
+				v = li % ri
+			}
 		default:
-			if ri == 0 {
-				v = 0
-			} else {
+			if ri != 0 {
 				v = li / ri
 			}
 		}

@@ -2,6 +2,7 @@ package txn
 
 import (
 	"fmt"
+	"sync"
 
 	"vectorwise/internal/pdt"
 	"vectorwise/internal/storage"
@@ -14,7 +15,7 @@ import (
 // snapshot's top image) down the layer stack into stable SIDs — the
 // coordinate system shared by all transactions, in which conflicts are
 // defined.
-func touchedStable(small *pdt.PDT, s *snapshot) (map[int64]struct{}, error) {
+func touchedStable(small *pdt.PDT, s *Pinned) (map[int64]struct{}, error) {
 	out := make(map[int64]struct{})
 	for _, e := range small.Entries() {
 		sid, err := anchorStable(s, e.SID)
@@ -111,7 +112,7 @@ func (t *Txn) Commit() error {
 			return fmt.Errorf("txn: commit validation: %w", err)
 		}
 		for _, ci := range ts.commits {
-			if ci.version <= s.version {
+			if ci.version <= s.Version {
 				continue
 			}
 			for sid := range touched {
@@ -121,7 +122,7 @@ func (t *Txn) Commit() error {
 			}
 		}
 		rb := small
-		if newer := ts.tail[len(s.tail):]; len(newer) > 0 {
+		if newer := ts.tail[len(s.Tail):]; len(newer) > 0 {
 			if rb, err = rebase(small, newer, ts.topRows()); err != nil {
 				return fmt.Errorf("txn: rebase: %w", err)
 			}
@@ -166,25 +167,26 @@ func (t *Txn) Commit() error {
 	return nil
 }
 
-// foldTailsLocked folds every tail layer into the big PDT in place (the
+// foldTailsLocked folds the tail stack into a single tail layer (the
 // inline backstop when the stack outgrows maxTailLayers). Callers hold
-// Manager.mu. Published layers are not mutated: Propagate builds a new
-// PDT, and the stack is replaced wholesale.
+// Manager.mu. The big PDT is untouched, so the mover's off-line rebuild
+// of (stable, big) stays installable; published layers are not mutated:
+// Propagate builds a new PDT, and the stack is replaced wholesale.
 func foldTailsLocked(ts *tableState) error {
-	combined := ts.big
-	for _, layer := range ts.tail {
+	folded := ts.tail[0]
+	for _, layer := range ts.tail[1:] {
 		var err error
-		if combined, err = pdt.Propagate(combined, layer); err != nil {
+		if folded, err = pdt.Propagate(folded, layer); err != nil {
 			return err
 		}
 	}
-	ts.big = combined
-	for _, lsn := range ts.tailLSN {
-		if lsn > ts.bigLSN {
-			ts.bigLSN = lsn
-		}
+	var lsn uint64
+	for _, l := range ts.tailLSN {
+		lsn = max(lsn, l)
 	}
-	ts.tail, ts.tailLSN = nil, nil
+	ts.tail, ts.tailLSN = []*pdt.PDT{folded}, []uint64{lsn}
+	// In-flight transactions can no longer rebase through a suffix of
+	// the stack they pinned.
 	ts.base++
 	ts.version++
 	ts.commits = nil
@@ -217,6 +219,15 @@ func MergeIntoBuilder(b *storage.Builder, stable *storage.Table, master *pdt.PDT
 	}
 }
 
+// scanSource adapts storage.Scanner to pdt.RowSource.
+type scanSource struct{ sc *storage.Scanner }
+
+// Next implements pdt.RowSource.
+func (s *scanSource) Next() ([]*vector.Vector, int, error) {
+	vecs, _, n, err := s.sc.Next()
+	return vecs, n, err
+}
+
 // rowFromVecs boxes row i of a set of aligned vectors.
 func rowFromVecs(vecs []*vector.Vector, i int) vtypes.Row {
 	row := make(vtypes.Row, len(vecs))
@@ -247,6 +258,12 @@ type Pinned struct {
 	base    uint64
 	bigLSN  uint64
 	tailLSN []uint64
+
+	// mergeOnce guards merged/mergeErr: the layer stack folded into
+	// one PDT the first time the pin is resolved (see Merged).
+	mergeOnce sync.Once
+	merged    *pdt.PDT
+	mergeErr  error
 }
 
 // Layers returns the pin's non-empty PDT layers bottom-first — the
@@ -268,18 +285,37 @@ func (p *Pinned) Rows() int64 {
 	return p.Big.VisibleRows()
 }
 
-// Combined folds the pin's whole layer stack into one PDT over the
-// stable image. Pure and lock-free: inputs are immutable, the result is
-// fresh. This is the mover's off-line propagate step.
-func (p *Pinned) Combined() (*pdt.PDT, error) {
-	combined := p.Big
-	for _, layer := range p.Tail {
-		var err error
-		if combined, err = pdt.Propagate(combined, layer); err != nil {
-			return nil, err
+// Merged returns the pin's whole layer stack folded into one PDT over
+// the stable image — the big PDT itself when there are no tails. It is
+// computed on the first call and shared by every later caller: all
+// cursors of one epoch snapshot, the DML statements pinning the same
+// version, and the mover's off-line fold step. The inputs are
+// immutable and the result is never mutated; safe for concurrent use.
+func (p *Pinned) Merged() (*pdt.PDT, error) {
+	p.mergeOnce.Do(func() {
+		p.merged = p.Big
+		for _, layer := range p.Tail {
+			if p.merged, p.mergeErr = pdt.Propagate(p.merged, layer); p.mergeErr != nil {
+				p.merged = nil
+				return
+			}
 		}
+	})
+	return p.merged, p.mergeErr
+}
+
+// Resolve returns the stable image and at most one PDT layer, the
+// merged deltas, for a scan to apply: one positional merge per scan,
+// however deep the committed stack is.
+func (p *Pinned) Resolve() (*storage.Table, []*pdt.PDT, error) {
+	m, err := p.Merged()
+	if err != nil {
+		return nil, nil, err
 	}
-	return combined, nil
+	if m.Empty() {
+		return p.Stable, nil, nil
+	}
+	return p.Stable, []*pdt.PDT{m}, nil
 }
 
 // Watermark returns the highest WAL LSN whose effects are contained in
@@ -295,16 +331,22 @@ func (p *Pinned) Watermark() uint64 {
 	return w
 }
 
+// pinLocked returns the pin of the table's current version. Every
+// publish bumps the version, so a cached pin of an older one is stale
+// and replaced. Callers hold Manager.mu.
 func pinLocked(ts *tableState) *Pinned {
-	return &Pinned{
-		Stable:  ts.stable,
-		Big:     ts.big,
-		Tail:    ts.tail,
-		Version: ts.version,
-		base:    ts.base,
-		bigLSN:  ts.bigLSN,
-		tailLSN: ts.tailLSN,
+	if ts.pin == nil || ts.pin.Version != ts.version {
+		ts.pin = &Pinned{
+			Stable:  ts.stable,
+			Big:     ts.big,
+			Tail:    ts.tail,
+			Version: ts.version,
+			base:    ts.base,
+			bigLSN:  ts.bigLSN,
+			tailLSN: ts.tailLSN,
+		}
 	}
+	return ts.pin
 }
 
 // Pin captures the table's current committed state.
@@ -331,16 +373,23 @@ func (m *Manager) PinAll() map[string]*Pinned {
 }
 
 // InstallFold publishes folded — the off-line Propagate of pin's big
-// and tail layers (pin.Combined()) — as the table's new big PDT,
-// keeping any tail layers committed after the pin. It fails (returns
-// false, no change) when the table was reorganized since the pin; the
-// mover just retries on its next tick. Bumps the base generation.
+// and tail layers (pin.Merged()) — as the table's new big PDT, keeping
+// any tail layers committed after the pin. It is fenced on exactly the
+// layers it folded: it fails (returns false, no change) unless the
+// table still has the pin's stable image and big PDT and the pin's
+// tails are still the bottom of the tail stack; the mover just retries
+// on its next tick. Bumps the base generation.
 func (m *Manager) InstallFold(table string, pin *Pinned, folded *pdt.PDT) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	ts := m.tables[table]
-	if ts == nil || ts.base != pin.base {
+	if ts == nil || ts.stable != pin.Stable || ts.big != pin.Big || len(ts.tail) < len(pin.Tail) {
 		return false
+	}
+	for i, layer := range pin.Tail {
+		if ts.tail[i] != layer {
+			return false
+		}
 	}
 	ts.big = folded
 	ts.bigLSN = pin.Watermark()
@@ -358,13 +407,15 @@ func (m *Manager) InstallFold(table string, pin *Pinned, folded *pdt.PDT) bool {
 // the new image materializes exactly the big PDT's output image, so
 // their coordinates are unchanged. The caller must have set the new
 // image's applied-LSN watermark (pin.AppliedLSN) before persisting it;
-// InstallStable re-stamps it defensively. Fails (returns false, no
-// change) when the table was reorganized since the pin.
+// InstallStable re-stamps it defensively. It is fenced on the layers it
+// rebuilt from: it fails (returns false, no change) unless the table
+// still has the pin's stable image and big PDT. Tail reorganizations
+// (commits, inline tail folds) leave it installable.
 func (m *Manager) InstallStable(table string, pin *Pinned, newStable *storage.Table) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	ts := m.tables[table]
-	if ts == nil || ts.base != pin.base {
+	if ts == nil || ts.stable != pin.Stable || ts.big != pin.Big {
 		return false
 	}
 	newStable.Meta.AppliedLSN = pin.bigLSN
@@ -416,7 +467,7 @@ func (m *Manager) MasterPDT(table string) (*pdt.PDT, *storage.Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	combined, err := pin.Combined()
+	combined, err := pin.Merged()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -437,7 +488,7 @@ func (m *Manager) Checkpoint(table string) error {
 	if err != nil {
 		return err
 	}
-	combined, err := pin.Combined()
+	combined, err := pin.Merged()
 	if err != nil {
 		return err
 	}

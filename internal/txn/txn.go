@@ -29,8 +29,8 @@
 //     folding tail layers into it is the background tuple mover's job
 //     (InstallFold / InstallStable / Checkpoint).
 //
-// Layer reorganizations (mover folds, stable-image swaps, checkpoints,
-// re-registration) bump the table's base generation; a transaction whose
+// Layer reorganizations (mover folds, inline tail folds, stable-image
+// swaps, checkpoints, re-registration) bump the table's base generation; a transaction whose
 // snapshot predates a reorganization cannot commit and gets
 // ErrStaleSnapshot. The vectorwise.DB layer serializes writers against
 // reorganizations with its write lock, so the error never surfaces
@@ -44,7 +44,6 @@ import (
 
 	"vectorwise/internal/pdt"
 	"vectorwise/internal/storage"
-	"vectorwise/internal/vector"
 	"vectorwise/internal/vtypes"
 	"vectorwise/internal/wal"
 )
@@ -62,9 +61,10 @@ var ErrClosed = errors.New("txn: transaction already committed or aborted")
 var ErrStaleSnapshot = errors.New("txn: snapshot predates a layer reorganization, transaction aborted")
 
 // maxTailLayers bounds the tail stack between mover runs: a commit that
-// would grow the stack past this folds every tail into the big PDT
-// inline (an O(big) backstop keeping scan merge chains short even with
-// the mover disabled).
+// would grow the stack past this folds the tails into one tail layer
+// inline (an O(tails) backstop keeping the stack short even with the
+// mover disabled). The big PDT is left alone, so a stable-image rebuild
+// the mover pinned before the fold still installs.
 const maxTailLayers = 16
 
 // commitInfo records a committed transaction's write set for validation.
@@ -93,6 +93,10 @@ type tableState struct {
 	version uint64
 	base    uint64
 	commits []commitInfo
+	// pin is the Pinned of the current version, shared by every pinner
+	// (cursors, transactions, the mover) so its merged layer is folded
+	// at most once per version; pinLocked replaces it once stale.
+	pin *Pinned
 }
 
 // topRows returns the visible row count of the table's top image.
@@ -181,38 +185,21 @@ func (m *Manager) Recover(recs []wal.Record) error {
 	return nil
 }
 
-// snapshot pins one table's committed state.
-type snapshot struct {
-	stable  *storage.Table
-	big     *pdt.PDT
-	tail    []*pdt.PDT
-	version uint64
-	base    uint64
-}
-
-// topRows returns the visible row count of the snapshot's top image.
-func (s *snapshot) topRows() int64 {
-	if n := len(s.tail); n > 0 {
-		return s.tail[n-1].VisibleRows()
-	}
-	return s.big.VisibleRows()
-}
-
-// anchorStable translates a position in the snapshot's top image down
+// anchorStable translates a position in the pin's top image down
 // through the layer stack to its stable-image anchor SID — the
 // coordinate system shared by all transactions, in which conflicts are
 // defined. Both write targets (Del/Mod) and insertion points anchor the
 // same way: each layer's InsertionPoint decomposition yields the SID the
 // position belongs to in the layer's input image.
-func anchorStable(s *snapshot, pos int64) (int64, error) {
-	for i := len(s.tail) - 1; i >= 0; i-- {
-		sid, _, err := s.tail[i].InsertionPoint(pos)
+func anchorStable(s *Pinned, pos int64) (int64, error) {
+	for i := len(s.Tail) - 1; i >= 0; i-- {
+		sid, _, err := s.Tail[i].InsertionPoint(pos)
 		if err != nil {
 			return 0, err
 		}
 		pos = sid
 	}
-	sid, _, err := s.big.InsertionPoint(pos)
+	sid, _, err := s.Big.InsertionPoint(pos)
 	if err != nil {
 		return 0, err
 	}
@@ -225,7 +212,7 @@ func anchorStable(s *snapshot, pos int64) (int64, error) {
 type Txn struct {
 	m      *Manager
 	id     uint64
-	snaps  map[string]*snapshot
+	snaps  map[string]*Pinned
 	writes map[string]*pdt.PDT
 	done   bool
 }
@@ -234,39 +221,53 @@ type Txn struct {
 func (m *Manager) Begin() *Txn {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	t := &Txn{m: m, id: m.nextTxn, snaps: make(map[string]*snapshot), writes: make(map[string]*pdt.PDT)}
+	t := &Txn{m: m, id: m.nextTxn, snaps: make(map[string]*Pinned), writes: make(map[string]*pdt.PDT)}
 	m.nextTxn++
 	return t
 }
 
 // snap pins the table's current committed version on first touch.
-func (t *Txn) snap(table string) (*snapshot, error) {
+func (t *Txn) snap(table string) (*Pinned, error) {
 	if s, ok := t.snaps[table]; ok {
 		return s, nil
 	}
-	t.m.mu.Lock()
-	defer t.m.mu.Unlock()
-	ts := t.m.tables[table]
-	if ts == nil {
-		return nil, fmt.Errorf("txn: unknown table %q", table)
+	s, err := t.m.Pin(table)
+	if err != nil {
+		return nil, err
 	}
-	s := &snapshot{stable: ts.stable, big: ts.big, tail: ts.tail, version: ts.version, base: ts.base}
 	t.snaps[table] = s
 	return s, nil
 }
 
 // small returns the transaction's write PDT for the table.
-func (t *Txn) small(table string) (*pdt.PDT, *snapshot, error) {
+func (t *Txn) small(table string) (*pdt.PDT, *Pinned, error) {
 	s, err := t.snap(table)
 	if err != nil {
 		return nil, nil, err
 	}
 	w, ok := t.writes[table]
 	if !ok {
-		w = pdt.New(s.stable.Schema(), s.topRows())
+		w = pdt.New(s.Stable.Schema(), s.Rows())
 		t.writes[table] = w
 	}
 	return w, s, nil
+}
+
+// Resolve returns the stable image and the merged delta layer (at most
+// one PDT) of the transaction's snapshot of the table — the view a
+// statement's scan reads. It never includes the transaction's own
+// writes, so a statement that scans and writes one table sees each row
+// as of its snapshot exactly once, however many rows it has already
+// changed. *Txn implements xcompile.Resolver with it.
+func (t *Txn) Resolve(table string) (*storage.Table, []*pdt.PDT, error) {
+	if t.done {
+		return nil, nil, ErrClosed
+	}
+	s, err := t.snap(table)
+	if err != nil {
+		return nil, nil, err
+	}
+	return s.Resolve()
 }
 
 // Rows returns the table's visible row count in this transaction.
@@ -327,57 +328,4 @@ func (t *Txn) Update(table string, rid int64, col int, val vtypes.Value) error {
 		return err
 	}
 	return w.Modify(rid, col, val)
-}
-
-// RowAt reads the visible row at rid (snapshot + own writes) by chaining
-// point lookups down the layer stack.
-func (t *Txn) RowAt(table string, rid int64) (vtypes.Row, error) {
-	if t.done {
-		return nil, ErrClosed
-	}
-	w, s, err := t.small(table)
-	if err != nil {
-		return nil, err
-	}
-	read := s.stable.RowAt
-	for _, layer := range append([]*pdt.PDT{s.big}, s.tail...) {
-		below := read
-		l := layer
-		read = func(sid int64) (vtypes.Row, error) { return l.RowAt(sid, below) }
-	}
-	return w.RowAt(rid, read)
-}
-
-// Scan returns a RowSource over the transaction's view of the table:
-// stable image merged with the snapshot's layer stack and the private
-// PDT on top.
-func (t *Txn) Scan(table string, vecSize int) (pdt.RowSource, *vtypes.Schema, error) {
-	if t.done {
-		return nil, nil, ErrClosed
-	}
-	w, s, err := t.small(table)
-	if err != nil {
-		return nil, nil, err
-	}
-	cols := make([]int, s.stable.Schema().Len())
-	for i := range cols {
-		cols[i] = i
-	}
-	var src pdt.RowSource = &scanSource{sc: storage.NewScanner(s.stable, cols, nil, nil, vecSize)}
-	for _, layer := range append([]*pdt.PDT{s.big}, s.tail...) {
-		if layer.Empty() {
-			continue
-		}
-		src = pdt.NewMergeScan(src, layer, vecSize)
-	}
-	return pdt.NewMergeScan(src, w, vecSize), s.stable.Schema(), nil
-}
-
-// scanSource adapts storage.Scanner to pdt.RowSource.
-type scanSource struct{ sc *storage.Scanner }
-
-// Next implements pdt.RowSource.
-func (s *scanSource) Next() ([]*vector.Vector, int, error) {
-	vecs, _, n, err := s.sc.Next()
-	return vecs, n, err
 }

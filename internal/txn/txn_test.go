@@ -6,7 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"vectorwise/internal/pdt"
+	"vectorwise/internal/core"
 	"vectorwise/internal/storage"
 	"vectorwise/internal/vtypes"
 	"vectorwise/internal/wal"
@@ -31,17 +31,40 @@ func buildTable(t *testing.T, name string, n int) *storage.Table {
 	return tbl
 }
 
+// scanAll reads the transaction's view of a table — its snapshot's
+// resolved layers with its own write PDT on top — through core.Scan,
+// the scan every SQL statement runs.
 func scanAll(t *testing.T, tx *Txn, table string) []vtypes.Row {
 	t.Helper()
-	src, schema, err := tx.Scan(table, 16)
+	stable, layers, err := tx.Resolve(table)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := pdt.Materialize(src, schema)
-	if err != nil {
+	if w := tx.writes[table]; w != nil {
+		layers = append(layers, w)
+	}
+	cols := make([]int, stable.Schema().Len())
+	for i := range cols {
+		cols[i] = i
+	}
+	sc := core.NewScan(stable, cols, core.ScanOpts{VecSize: 16, Layers: layers})
+	if err := sc.Open(); err != nil {
 		t.Fatal(err)
 	}
-	return rows
+	defer sc.Close()
+	var rows []vtypes.Row
+	for {
+		b, err := sc.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			return rows
+		}
+		for i := 0; i < b.N; i++ {
+			rows = append(rows, b.Row(i))
+		}
+	}
 }
 
 func TestReadYourOwnWrites(t *testing.T) {
@@ -70,10 +93,6 @@ func TestReadYourOwnWrites(t *testing.T) {
 	n, err := tx.Rows("t")
 	if err != nil || n != 5 {
 		t.Fatalf("Rows = %d", n)
-	}
-	r, err := tx.RowAt("t", 0)
-	if err != nil || r[1].Str != "patched" {
-		t.Fatal("RowAt must see own writes")
 	}
 }
 
@@ -218,11 +237,8 @@ func TestClosedTxnRejectsOps(t *testing.T) {
 	if err := tx.Update("t", 0, 0, vtypes.I64Value(1)); !errors.Is(err, ErrClosed) {
 		t.Fatal("update on closed txn must fail")
 	}
-	if _, err := tx.RowAt("t", 0); !errors.Is(err, ErrClosed) {
-		t.Fatal("read on closed txn must fail")
-	}
-	if _, _, err := tx.Scan("t", 8); !errors.Is(err, ErrClosed) {
-		t.Fatal("scan on closed txn must fail")
+	if _, _, err := tx.Resolve("t"); !errors.Is(err, ErrClosed) {
+		t.Fatal("resolve on closed txn must fail")
 	}
 	if _, err := tx.Rows("t"); !errors.Is(err, ErrClosed) {
 		t.Fatal("rows on closed txn must fail")

@@ -117,7 +117,14 @@ func (c *compiler) nodeInner(n algebra.Node) (core.Operator, error) {
 				so.Prune = synthesizePrune(t.Cols, t.Filters)
 			}
 		}
-		return core.NewScan(tbl, t.Cols, so), nil
+		cols := make([]int, len(t.Cols))
+		for i, c := range t.Cols {
+			if c == algebra.RowPosCol {
+				c = core.RowPosCol
+			}
+			cols[i] = c
+		}
+		return core.NewScan(tbl, cols, so), nil
 
 	case *algebra.SelectNode:
 		child, err := c.node(t.Input)

@@ -165,7 +165,7 @@ func (db *DB) moveTable(name string) error {
 		if err := db.failpoint("fold:" + name); err != nil {
 			return err
 		}
-		folded, err := pin.Combined()
+		folded, err := pin.Merged()
 		if err != nil {
 			return err
 		}

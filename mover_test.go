@@ -257,3 +257,54 @@ func TestMoverCompletedRebuildThenReopen(t *testing.T) {
 	db2.SetMoverInterval(0)
 	o.verify(db2, t, "reopen after completed rebuild")
 }
+
+// TestMoverRebuildSurvivesInlineFold: commits that push the tail stack
+// past its inline cap while a rebuild is in flight fold the tails into
+// one layer and leave the big PDT alone, so the rebuild — pinned before
+// them — still installs instead of being abandoned, and reopening
+// replays to the same rows.
+func TestMoverRebuildSurvivesInlineFold(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	db, o := moverTestDB(t, dir, 50)
+	db.SetMoverThreshold(1)
+	const commits = 20 // more than the inline cap of 16 tail layers
+	fired := false
+	db.SetMoverFailpoint(func(s string) error {
+		if s != "swap:kv" || fired {
+			return nil
+		}
+		fired = true
+		for i := 0; i < commits; i++ {
+			o.update(db, t, int64(i), -int64(i))
+		}
+		return nil
+	})
+	if err := db.MoveTuples(); err != nil {
+		t.Fatal(err)
+	}
+	db.SetMoverFailpoint(nil)
+	if !fired {
+		t.Fatal("swap failpoint never fired")
+	}
+	st, err := db.txm.DeltaStats("kv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.TailLayers >= commits {
+		t.Fatalf("%d tail layers after %d commits: the inline fold never ran", st.TailLayers, commits)
+	}
+	if ms := db.MoverStats(); ms.Rebuilds != 1 || ms.Retries != 0 {
+		t.Fatalf("want the pinned rebuild installed, got %+v", ms)
+	}
+	o.verify(db, t, "after rebuild across an inline fold")
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	db2.SetMoverInterval(0)
+	o.verify(db2, t, "reopen after rebuild across an inline fold")
+}

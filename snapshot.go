@@ -41,13 +41,15 @@ type dbSnapshot struct {
 	refs int
 }
 
-// Resolve implements xcompile.Resolver against the pinned state.
+// Resolve implements xcompile.Resolver against the pinned state: the
+// stable image plus at most one PDT, the pin's layer stack folded once
+// on first use and shared by every cursor of the snapshot.
 func (s *dbSnapshot) Resolve(name string) (*storage.Table, []*pdt.PDT, error) {
 	pin, ok := s.pins[name]
 	if !ok {
 		return nil, nil, fmt.Errorf("vectorwise: %w %q in snapshot", catalog.ErrUnknownTable, name)
 	}
-	return pin.Stable, pin.Layers(), nil
+	return pin.Resolve()
 }
 
 // acquireSnapshot returns the current epoch snapshot with an extra
