@@ -264,8 +264,8 @@ func anyNullable(t *Table, c int) bool {
 	return t.Meta.Cols[c].Nullable
 }
 
-// RowAt materializes one full row by position (point-access path used by
-// tests and the update layer when validating conflicts).
+// RowAt materializes one full row by position (point-access path for
+// tests).
 func (t *Table) RowAt(pos int64) (vtypes.Row, error) {
 	if pos < 0 || pos >= t.Rows() {
 		return nil, fmt.Errorf("storage: row %d out of range [0,%d)", pos, t.Rows())
