@@ -30,11 +30,12 @@
 //     (InstallFold / InstallStable / Checkpoint).
 //
 // Layer reorganizations (mover folds, inline tail folds, stable-image
-// swaps, checkpoints, re-registration) bump the table's base generation; a transaction whose
-// snapshot predates a reorganization cannot commit and gets
-// ErrStaleSnapshot. The vectorwise.DB layer serializes writers against
-// reorganizations with its write lock, so the error never surfaces
-// through the SQL API; raw Manager users retry.
+// swaps, checkpoints, re-registration) bump the table's base
+// generation; a transaction whose snapshot predates a reorganization
+// cannot commit and gets ErrStaleSnapshot. The vectorwise.DB layer
+// serializes writers against reorganizations with its write lock, so
+// the error never surfaces through the SQL API; raw Manager users
+// retry.
 package txn
 
 import (
